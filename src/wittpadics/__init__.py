@@ -64,7 +64,7 @@ from .witt import (
     padic_to_witt,
     rational_to_witt,
     witt_add,
-    witt_arith,
+    witt_digits,
     witt_inv,
     witt_mul,
     witt_neg,

@@ -17,7 +17,7 @@ from .errors import (
     ZeroInput,
 )
 from .padic import PAdicInt, PAdicNumber, padic_valuation, teichmuller, unit_inverse
-from .witt import padic_to_witt
+from .witt import witt_digits
 
 
 def _floor_log(base: int, n: int) -> int:
@@ -172,6 +172,24 @@ class ExactExponent:
         return ExactExponent(u, k)
 
 
+def _check_pk_root(x: PAdicNumber, k: int) -> None:
+    """The p^k-th root criterion for nonzero x; raises at the first failure.
+
+    A root exists iff p^k divides the valuation and Witt digits 1..k of the
+    unit part are zero.  Only those digits are peeled, so this needs k + 1
+    digits of precision.
+    """
+    K = x.unit.precision
+    if x.valuation % x.p**k != 0:
+        raise ValuationCondition(f"valuation {x.valuation} is not divisible by {x.p}^{k}")
+    if K < k + 1:
+        raise PrecisionTooLow(f"need {k + 1} digits to read Witt digits 1..{k}, have {K}")
+    digits = witt_digits(x.unit, k + 1)
+    for i in range(1, k + 1):
+        if digits[i]:
+            raise RootCondition(f"Witt digit {i} of the unit part is nonzero", digit_index=i)
+
+
 def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:
     """x**y via exp(y * log(unit part)), with the valuation handled exactly.
 
@@ -189,16 +207,9 @@ def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:
         raise ZeroInput("zero can only be raised to a positive integer power")
     if k == 0:
         return x.pow_int(u)
+    _check_pk_root(x, k)
     K = x.unit.precision
-    if x.valuation % p**k != 0:
-        raise ValuationCondition(f"valuation {x.valuation} is not divisible by {p}^{k}")
-    if K < k + 1:
-        raise PrecisionTooLow(f"exponent denominator p^{k} needs at least {k + 1} digits, have {K}")
-    digits = padic_to_witt(x.unit).digits
-    for i in range(1, k + 1):
-        if digits[i]:
-            raise RootCondition(f"Witt digit {i} of the unit part is nonzero", digit_index=i)
-    digit0 = digits[0]
+    digit0 = x.unit.residue % p
     lift = teichmuller(PAdicInt(p, K, digit0))
     theta = plog(x.unit * unit_inverse(lift))
     scaled = theta.exact_div_p_power(k) * u

@@ -10,10 +10,11 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .analytic import ExactExponent, pexp, plog, polar, ppow
 from .errors import LengthLimit, NotPrime, PadicError
-from .padic import PAdicInt, PAdicNumber, teichmuller
+from .padic import PAdicInt, PAdicNumber, padic_valuation, teichmuller
 from .primes import check_prime
 from .roots import (
     RootReason,
@@ -76,21 +77,6 @@ def _padic_number_json(x: PAdicNumber) -> dict:
     }
 
 
-def render_padic_int(x: PAdicInt) -> str:
-    signed = x.lift_signed()
-    if signed != x.residue:
-        return f"{x.residue} ≡ {signed} (mod {x.p}^{x.precision})"
-    return f"{x.residue} (mod {x.p}^{x.precision})"
-
-
-def render_padic_number(x: PAdicNumber) -> str:
-    if x.is_zero:
-        return "0"
-    if x.valuation == 0:
-        return render_padic_int(x.unit)
-    return f"{x.p}^{x.valuation} * {render_padic_int(x.unit)}"
-
-
 def parse_integer(text: str, what: str) -> int:
     try:
         return int(text, 10)
@@ -121,72 +107,10 @@ def parse_exponent(text: str, p: int) -> ExactExponent:
     d = parse_integer(den_text, "exponent denominator")
     if d < 1:
         raise UsageError(f"exponent denominator must be positive, got {d}")
-    k = 0
-    while d % p == 0:
-        d //= p
-        k += 1
-    if d != 1:
+    k = padic_valuation(d, p)
+    if d != p**k:
         raise UsageError(f"exponent denominator must be a power of p = {p}")
-    return ExactExponent(u, k).normalized(p)
-
-
-def _unit_padic_int(value: PAdicNumber, precision: int) -> PAdicInt:
-    """Residue form of a value with non-negative valuation, at the CLI precision."""
-    if value.is_zero:
-        return PAdicInt(value.p, precision, 0)
-    if value.valuation < 0:
-        raise UsageError("value must be a p-adic integer (non-negative valuation)")
-    x = value.to_padic_int()
-    return x.with_precision(min(precision, x.precision))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wittpadics",
-        description="Exact p-adic arithmetic on truncated Witt vectors.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, required=False, help="prime p")
-    common.add_argument("--precision", type=int, default=None, help="digits of precision (default 8)")
-    common.add_argument("--output", choices=("human", "json"), default=None, help="output format")
-    common.add_argument("--config", default=None, help=f"config file (default {DEFAULT_CONFIG})")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_convert = sub.add_parser("convert", parents=[common], help="convert between residue and Witt form")
-    p_convert.add_argument("--value", required=True, help="integer or rational m/n")
-    p_convert.add_argument("--to", choices=("witt", "padic"), default="witt")
-
-    p_teich = sub.add_parser("teichmuller", parents=[common], help="multiplicative digit lift")
-    p_teich.add_argument("--value", required=True)
-
-    p_log = sub.add_parser("log", parents=[common], help="truncated p-adic logarithm")
-    p_log.add_argument("--value", required=True)
-
-    p_exp = sub.add_parser("exp", parents=[common], help="truncated p-adic exponential")
-    p_exp.add_argument("--value", required=True)
-
-    p_pow = sub.add_parser("pow", parents=[common], help="power with integer or u/p^k exponent")
-    p_pow.add_argument("--value", required=True)
-    p_pow.add_argument("--exponent", required=True)
-
-    p_polar = sub.add_parser("polar", parents=[common], help="module/argument decomposition")
-    p_polar.add_argument("--value", required=True)
-
-    p_root = sub.add_parser("root", parents=[common], help="all m-th roots, or a failure reason")
-    p_root.add_argument("--value", required=True)
-    p_root.add_argument("--degree", type=int, required=True)
-
-    p_fq = sub.add_parser("fermat-quotient", parents=[common], help="(x^(p-1) - 1)/p")
-    p_fq.add_argument("--value", required=True)
-
-    p_wief = sub.add_parser("wieferich", parents=[common], help="primes with base^(p-1) = 1 mod p^2")
-    p_wief.add_argument("--base", type=int, required=True)
-    p_wief.add_argument("--limit", type=int, required=True)
-
-    sub.add_parser("flt-witness", parents=[common], help="local Fermat-equation witness")
-
-    return parser
+    return ExactExponent(u, k)
 
 
 def _resolve_precision(args, config: dict[str, str]) -> int:
@@ -221,10 +145,7 @@ def _resolve_output(args, config: dict[str, str]) -> str:
 def _require_p(args) -> int:
     if args.p is None:
         raise UsageError("--p is required for this command")
-    try:
-        check_prime(args.p)
-    except NotPrime as exc:
-        raise UsageError(str(exc)) from None
+    check_prime(args.p)
     return args.p
 
 
@@ -245,142 +166,165 @@ def _root_failure_reason(report, value: PAdicNumber, value_text: str, degree: in
     return report.reason.value
 
 
-def _dispatch(args, precision: int):
-    """Run one command; returns (json_result, human_lines) or raises."""
-    command = args.command
-
-    if command == "wieferich":
-        hits = wieferich_search(args.base, args.limit)
-        return hits, [" ".join(str(p) for p in hits) if hits else "(none)"]
-
-    if command == "flt-witness":
-        p = _require_p(args)
-        witness = flt_local_witness(p, precision)
-        if witness is None:
-            return None, [f"no witness for p = {p}"]
-        result = {
-            "p": witness.p,
-            "x": witness.x,
-            "y": witness.y,
-            "sum": _encode_int(witness.sum),
-            "root": _padic_int_json(witness.root),
-        }
-        lines = [
-            f"x = {witness.x}, y = {witness.y}, sum = {witness.sum}",
-            f"root: {render_padic_int(witness.root)}",
-        ]
-        return result, lines
-
-    p = _require_p(args)
-
-    if command == "convert":
-        value = parse_value(args.value, p, precision)
-        x = _unit_padic_int(value, precision)
-        if args.to == "witt":
-            w = padic_to_witt(x)
-            return {"witt": w.to_json_dict()}, [str(w)]
-        return _padic_int_json(x), [render_padic_int(x)]
-
-    if command == "teichmuller":
-        a = PAdicInt(p, precision, parse_integer(args.value, "value"))
-        lift = teichmuller(a)
-        return _padic_int_json(lift), [render_padic_int(lift)]
-
-    if command == "log":
-        x = PAdicInt(p, precision, parse_integer(args.value, "value"))
-        theta = plog(x)
-        return _padic_int_json(theta), [render_padic_int(theta)]
-
-    if command == "exp":
-        theta = PAdicInt(p, precision, parse_integer(args.value, "value"))
-        u = pexp(theta)
-        return _padic_int_json(u), [render_padic_int(u)]
-
-    if command == "pow":
-        value = parse_value(args.value, p, precision)
-        exponent = parse_exponent(args.exponent, p)
-        result = ppow(value, exponent)
-        return _padic_number_json(result), [render_padic_number(result)]
-
-    if command == "polar":
-        value = parse_value(args.value, p, precision)
-        form = polar(value)
-        result = {
-            "valuation": form.valuation,
-            "teich_digit": form.teich_digit,
-            "argument": _padic_int_json(form.argument),
-        }
-        lines = [
-            f"valuation: {form.valuation}",
-            f"teichmuller digit: {form.teich_digit}",
-            f"argument: {render_padic_int(form.argument)}",
-        ]
-        return result, lines
-
-    if command == "fermat-quotient":
-        value = parse_value(args.value, p, precision)
-        q = fermat_quotient(value)
-        return _padic_int_json(q), [render_padic_int(q)]
-
-    if command == "root":
-        value = parse_value(args.value, p, precision)
-        if p == 2:
-            if args.degree != 2:
-                raise UsageError("for p = 2 only --degree 2 is supported")
-            report = sqrt_2adic(value)
-        else:
-            report = general_root(value, args.degree)
-        if not report.exists:
-            reason = _root_failure_reason(report, value, args.value, args.degree)
-            raise _RootFailure(reason)
-        result = {
-            "degree": args.degree,
-            "output_precision": report.output_precision,
-            "roots": [_padic_number_json(r) for r in report.roots],
-        }
-        lines = [f"root: {render_padic_number(r)}" for r in report.roots]
-        return result, lines
-
-    raise UsageError(f"unknown command {command!r}")
+class _NoRoot(PadicError):
+    """The requested root does not exist; the message says which condition failed."""
 
 
-class _RootFailure(Exception):
-    pass
+# Each command handler takes (args, p, precision) and returns (json_result, human_lines).
+
+
+def _residue(x: PAdicInt):
+    return _padic_int_json(x), [str(x)]
+
+
+def _on_integer(fn):
+    """Handler applying fn to --value read as an integer residue."""
+    return lambda args, p, precision: _residue(fn(PAdicInt(p, precision, parse_integer(args.value, "value"))))
+
+
+def _convert(args, p: int, precision: int):
+    value = parse_value(args.value, p, precision)
+    x = PAdicInt(p, precision, 0) if value.is_zero else value.to_padic_int().with_precision(precision)
+    if args.to == "padic":
+        return _residue(x)
+    w = padic_to_witt(x)
+    return {"witt": w.to_json_dict()}, [str(w)]
+
+
+def _pow(args, p: int, precision: int):
+    result = ppow(parse_value(args.value, p, precision), parse_exponent(args.exponent, p))
+    return _padic_number_json(result), [str(result)]
+
+
+def _polar(args, p: int, precision: int):
+    form = polar(parse_value(args.value, p, precision))
+    result = {
+        "valuation": form.valuation,
+        "teich_digit": form.teich_digit,
+        "argument": _padic_int_json(form.argument),
+    }
+    lines = [
+        f"valuation: {form.valuation}",
+        f"teichmuller digit: {form.teich_digit}",
+        f"argument: {form.argument}",
+    ]
+    return result, lines
+
+
+def _root(args, p: int, precision: int):
+    value = parse_value(args.value, p, precision)
+    if p == 2:
+        if args.degree != 2:
+            raise UsageError("for p = 2 only --degree 2 is supported")
+        report = sqrt_2adic(value)
+    else:
+        report = general_root(value, args.degree)
+    if not report.exists:
+        raise _NoRoot(_root_failure_reason(report, value, args.value, args.degree))
+    result = {
+        "degree": args.degree,
+        "output_precision": report.output_precision,
+        "roots": [_padic_number_json(r) for r in report.roots],
+    }
+    return result, [f"root: {r}" for r in report.roots]
+
+
+def _wieferich(args, p: int, precision: int):
+    hits = wieferich_search(args.base, args.limit)
+    return hits, [" ".join(str(q) for q in hits) if hits else "(none)"]
+
+
+def _flt_witness(args, p: int, precision: int):
+    witness = flt_local_witness(p, precision)
+    if witness is None:
+        return None, [f"no witness for p = {p}"]
+    result = {
+        "p": witness.p,
+        "x": witness.x,
+        "y": witness.y,
+        "sum": _encode_int(witness.sum),
+        "root": _padic_int_json(witness.root),
+    }
+    return result, [f"x = {witness.x}, y = {witness.y}, sum = {witness.sum}", f"root: {witness.root}"]
+
+
+class Command(NamedTuple):
+    """One subcommand: its help text, extra arguments, handler, and whether it needs --p."""
+
+    help: str
+    arguments: tuple  # (flag, add_argument keywords) pairs
+    handler: Callable
+    needs_p: bool = True
+
+
+_VALUE = ("--value", {"required": True, "help": "integer, or rational m/n where accepted"})
+
+COMMANDS = {
+    "convert": Command(
+        "convert between residue and Witt form",
+        (_VALUE, ("--to", {"choices": ("witt", "padic"), "default": "witt"})),
+        _convert,
+    ),
+    "teichmuller": Command("multiplicative digit lift", (_VALUE,), _on_integer(teichmuller)),
+    "log": Command("truncated p-adic logarithm", (_VALUE,), _on_integer(plog)),
+    "exp": Command("truncated p-adic exponential", (_VALUE,), _on_integer(pexp)),
+    "pow": Command("power with integer or u/p^k exponent", (_VALUE, ("--exponent", {"required": True})), _pow),
+    "polar": Command("module/argument decomposition", (_VALUE,), _polar),
+    "root": Command(
+        "all m-th roots, or a failure reason", (_VALUE, ("--degree", {"type": int, "required": True})), _root
+    ),
+    "fermat-quotient": Command(
+        "(x^(p-1) - 1)/p",
+        (_VALUE,),
+        lambda args, p, precision: _residue(fermat_quotient(parse_value(args.value, p, precision))),
+    ),
+    "wieferich": Command(
+        "primes with base^(p-1) = 1 mod p^2",
+        (("--base", {"type": int, "required": True}), ("--limit", {"type": int, "required": True})),
+        _wieferich,
+        needs_p=False,
+    ),
+    "flt-witness": Command("local Fermat-equation witness", (), _flt_witness),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wittpadics",
+        description="Exact p-adic arithmetic on truncated Witt vectors.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, required=False, help="prime p")
+    common.add_argument("--precision", type=int, default=None, help="digits of precision (default 8)")
+    common.add_argument("--output", choices=("human", "json"), default=None, help="output format")
+    common.add_argument("--config", default=None, help=f"config file (default {DEFAULT_CONFIG})")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        cmd_parser = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, options in command.arguments:
+            cmd_parser.add_argument(flag, **options)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    config_path = Path(args.config).expanduser() if args.config else Path(DEFAULT_CONFIG).expanduser()
-    config = load_config(config_path)
-
+    args = build_parser().parse_args(argv)
+    config = load_config(Path(args.config or DEFAULT_CONFIG).expanduser())
+    command = COMMANDS[args.command]
     try:
         precision = _resolve_precision(args, config)
         output = _resolve_output(args, config)
-    except UsageError as exc:
+        p = _require_p(args) if command.needs_p else None
+        result, lines = command.handler(args, p, precision)
+    except (UsageError, ValueError, NotPrime, LengthLimit) as exc:
+        # ValueError is how the library rejects an out-of-range argument,
+        # such as a root degree below 1 or a Wieferich base below 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        result, lines = _dispatch(args, precision)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotPrime, LengthLimit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _RootFailure as exc:
-        if output == "json":
-            print(json.dumps({"ok": False, "reason": str(exc), "precision": precision}, sort_keys=True))
-        else:
-            print(f"no root: {exc}", file=sys.stderr)
-        return 1
     except PadicError as exc:
         if output == "json":
             print(json.dumps({"ok": False, "reason": str(exc), "precision": precision}, sort_keys=True))
         else:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"{'no root' if isinstance(exc, _NoRoot) else 'error'}: {exc}", file=sys.stderr)
         return 1
 
     if output == "json":

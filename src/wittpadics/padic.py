@@ -68,9 +68,6 @@ class PAdicInt:
         """Representative of least absolute value (display helper)."""
         return self.residue - self.modulus if 2 * self.residue > self.modulus else self.residue
 
-    def digits(self) -> list[int]:
-        return digit_expansion(self)
-
     def with_precision(self, k: int) -> "PAdicInt":
         """Truncate to k <= precision digits."""
         if k > self.precision:
@@ -118,6 +115,9 @@ class PAdicInt:
         return PAdicInt(self.p, self.precision, -self.residue)
 
     def __str__(self):
+        signed = self.lift_signed()
+        if signed != self.residue:
+            return f"{self.residue} ≡ {signed} (mod {self.p}^{self.precision})"
         return f"{self.residue} (mod {self.p}^{self.precision})"
 
 

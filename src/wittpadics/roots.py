@@ -8,17 +8,18 @@ the number-theoretic searches built on them.
 import enum
 from dataclasses import dataclass
 
-from .analytic import ExactExponent, pexp, plog, ppow
+from .analytic import ExactExponent, _check_pk_root, pexp, plog, ppow
 from .errors import (
     NotAUnit,
     PrecisionTooLow,
     RootCondition,
+    ValuationCondition,
     WrongPrime,
     ZeroInput,
 )
-from .padic import PAdicInt, PAdicNumber, hensel_kth_root
+from .padic import PAdicInt, PAdicNumber, hensel_kth_root, padic_valuation
 from .primes import check_prime, primes_up_to
-from .witt import factor_system_phi1, padic_to_witt
+from .witt import factor_system_phi1, witt_digits
 
 
 class RootReason(enum.Enum):
@@ -124,21 +125,17 @@ def pk_root_exists(x: PAdicNumber, k: int) -> RootCheck:
         raise WrongPrime("use the p = 2 square-root routine")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    p = x.p
-    if x.valuation % p**k != 0:
+    try:
+        _check_pk_root(x, k)
+    except ValuationCondition:
         return RootCheck(False, RootReason.VALUATION_NOT_DIVISIBLE)
-    K = x.unit.precision
-    if K < k + 1:
-        raise PrecisionTooLow(f"need {k + 1} digits to read Witt digits 1..{k}, have {K}")
-    digits = padic_to_witt(x.unit).digits
-    for i in range(1, k + 1):
-        if digits[i]:
-            if k == 1:
-                _k1_cross_check(x.unit, digit_ok=False)
-            return RootCheck(False, RootReason.WITT_DIGIT_NONZERO, i)
+    except RootCondition as exc:
+        check = RootCheck(False, RootReason.WITT_DIGIT_NONZERO, exc.digit_index)
+    else:
+        check = RootCheck(True, RootReason.OK)
     if k == 1:
-        _k1_cross_check(x.unit, digit_ok=True)
-    return RootCheck(True, RootReason.OK)
+        _k1_cross_check(x.unit, digit_ok=check.ok)
+    return check
 
 
 def pk_root(x: PAdicNumber, k: int) -> RootReport:
@@ -171,8 +168,7 @@ def root_quotient_congruence_check(x: PAdicNumber, k: int) -> QuotientCongruence
     scaled = fermat_quotient(x).exact_div_p_power(k)
     rhs = scaled.residue % p
     lhs = fermat_quotient(report.roots[0]).residue % p
-    digits = padic_to_witt(u).digits
-    digit_value = digits[k + 1]
+    digit_value = witt_digits(u, k + 2)[k + 1]
     digit_predicted = -(u.residue % p) * rhs % p
     return QuotientCongruenceReport(
         holds=(lhs == rhs and digit_value == digit_predicted),
@@ -223,11 +219,8 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
     K = x.unit.precision
     if m == 1:
         return RootReport(True, RootReason.OK, None, (x,), K)
-    v = 0
-    m_prime = m
-    while m_prime % p == 0:
-        v += 1
-        m_prime //= p
+    v = padic_valuation(m, p)
+    m_prime = m // p**v
     out_prec = K - v
     if x.valuation % m != 0:
         return RootReport(False, RootReason.VALUATION_NOT_DIVISIBLE, None, (), max(out_prec, 1))

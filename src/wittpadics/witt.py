@@ -8,7 +8,7 @@ independent formula for cross-checking.
 
 from dataclasses import dataclass
 
-from .errors import MismatchedRing, NotAUnit, WrongPrime
+from .errors import MismatchedRing, NotAUnit, NotCoprime, WrongPrime
 from .padic import (
     GHOST_LENGTH_CAP,
     PAdicInt,
@@ -68,16 +68,25 @@ def witt_to_padic(w: WittVector) -> PAdicInt:
     return total
 
 
-def padic_to_witt(x: PAdicInt) -> WittVector:
-    """Digits of a residue, peeled off one Teichmuller lift at a time."""
+def witt_digits(x: PAdicInt, n: int) -> tuple[int, ...]:
+    """The first n Witt digits of x, peeled off one Teichmuller lift at a time.
+
+    They depend only on x mod p^n, so x is truncated to n digits first;
+    n above the precision of x raises PrecisionTooLow.
+    """
+    cur = x.with_precision(n)
     digits = []
-    cur = x
     while True:
         d = cur.residue % cur.p
         digits.append(d)
         if cur.precision == 1:
-            return WittVector(x.p, tuple(digits))
+            return tuple(digits)
         cur = (cur - teichmuller(PAdicInt(cur.p, cur.precision, d))).exact_div_p_power(1)
+
+
+def padic_to_witt(x: PAdicInt) -> WittVector:
+    """All Witt digits of a residue."""
+    return WittVector(x.p, witt_digits(x, x.precision))
 
 
 def integer_to_witt(n: int, p: int, length: int, *, ghost_cap: int = GHOST_LENGTH_CAP) -> WittVector:
@@ -100,8 +109,6 @@ def rational_to_witt(m: int, n: int, p: int, length: int) -> WittVector:
     """Witt digits of the p-adic integer m/n; requires p not dividing n."""
     check_prime(p)
     if n % p == 0:
-        from .errors import NotCoprime
-
         raise NotCoprime(f"denominator {n} is divisible by {p}")
     mod = p**length
     value = m % mod * pow(n % mod, -1, mod)
@@ -133,19 +140,6 @@ def witt_inv(x: WittVector) -> WittVector:
     if x.digits[0] == 0:
         raise NotAUnit("leading digit is zero")
     return padic_to_witt(unit_inverse(witt_to_padic(x)))
-
-
-def witt_arith(op: str, x: WittVector, y: WittVector | None = None) -> WittVector:
-    """Dispatch add/mul/neg/inv by name."""
-    if op in ("add", "mul"):
-        if y is None:
-            raise ValueError(f"'{op}' needs two operands")
-        return witt_add(x, y) if op == "add" else witt_mul(x, y)
-    if op in ("neg", "inv"):
-        if y is not None:
-            raise ValueError(f"'{op}' takes one operand")
-        return witt_neg(x) if op == "neg" else witt_inv(x)
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def factor_system_phi1(p: int, x0: int, y0: int) -> int:

@@ -1,6 +1,7 @@
 """Command-line behavior: golden outputs, JSON schema, config, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,17 @@ def test_golden_outputs_are_stable(capsys, argv, expected):
     assert out == expected
     code2, out2, _ = run(capsys, argv)
     assert (code2, out2) == (0, expected)  # byte-identical across runs
+
+
+# Every command in both output modes: results, each no-root reason, usage
+# errors and library failures.  Each entry holds an argv and the exit code,
+# stdout and stderr the CLI gave for it when the corpus was recorded.
+GOLDEN_CORPUS = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN_CORPUS, ids=[case["argv"] for case in GOLDEN_CORPUS])
+def test_golden_corpus(capsys, case):
+    assert run(capsys, case["argv"].split()) == (case["code"], case["out"], case["err"])
 
 
 def test_flt_witness_root_reduces_correctly():
@@ -168,6 +180,20 @@ def test_usage_errors_exit_two(capsys):
 
     code, _, err = run(capsys, ["root", "--p", "2", "--degree", "4", "--value", "17"])
     assert code == 2 and "only --degree 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["wieferich", "--base", "1", "--limit", "100"], "base must be >= 2, got 1"),
+        (["wieferich", "--base", "2", "--limit", "2"], "limit must be >= 3, got 2"),
+        (["root", "--p", "5", "--degree", "0", "--value", "2"], "degree must be >= 1, got 0"),
+        (["root", "--p", "5", "--degree", "-5", "--value", "2"], "degree must be >= 1, got -5"),
+    ],
+)
+@pytest.mark.parametrize("output", ["human", "json"])
+def test_bad_numeric_arguments_are_usage_errors(capsys, argv, message, output):
+    assert run(capsys, argv + ["--output", output]) == (2, "", f"error: {message}\n")
 
 
 def test_argparse_usage_exit_code():

@@ -44,6 +44,9 @@ def test_construction_rejects_bad_primes():
 def test_residue_is_canonicalized():
     assert PAdicInt(11, 2, -8).residue == 113
     assert PAdicInt(5, 2, 26).residue == 1
+    # str() shows the least-absolute representative when it differs
+    assert str(PAdicInt(11, 2, -8)) == "113 ≡ -8 (mod 11^2)"
+    assert str(PAdicInt(5, 2, 26)) == "1 (mod 5^2)"
 
 
 def test_mixed_prime_arithmetic_is_an_error():
@@ -281,7 +284,9 @@ def test_ghost_handles_negative_n():
 def test_padic_number_from_integer_extracts_valuation():
     x = PAdicNumber.from_integer(375, 5, 3)  # 375 = 5^3 * 3
     assert (x.valuation, x.unit.residue) == (3, 3)
+    assert str(x) == "5^3 * 3 (mod 5^3)"
     assert PAdicNumber.from_integer(0, 5, 3).is_zero
+    assert str(PAdicNumber.from_integer(-1, 5, 2)) == "24 ≡ -1 (mod 5^2)"
 
 
 def test_padic_number_from_rational():

@@ -6,11 +6,14 @@ import pytest
 
 import oracles
 from wittpadics import (
+    ExactExponent,
     NotAUnit,
     PAdicInt,
     PAdicNumber,
     PrecisionTooLow,
+    RootCondition,
     RootReason,
+    ValuationCondition,
     WittVector,
     WrongPrime,
     fermat_quotient,
@@ -19,6 +22,7 @@ from wittpadics import (
     padic_to_witt,
     pk_root,
     pk_root_exists,
+    ppow,
     root_quotient_congruence_check,
     sqrt_2adic,
     wieferich_search,
@@ -78,6 +82,37 @@ def test_pk_root_exists_examples():
     )
     check = pk_root_exists(PAdicNumber.from_integer(11 * 4, 11, 3), 1)
     assert (check.ok, check.reason) == (False, RootReason.VALUATION_NOT_DIVISIBLE)
+
+
+def test_pk_root_exists_and_ppow_report_the_same_obstruction():
+    # both read one criterion: the RootCheck reason and the exception ppow
+    # raises must name the same failed condition and the same Witt digit
+    raised_for = {
+        RootReason.OK: None,
+        RootReason.VALUATION_NOT_DIVISIBLE: ValuationCondition,
+        RootReason.WITT_DIGIT_NONZERO: RootCondition,
+    }
+    rng = random.Random(36)
+    seen = set()
+    for p in (3, 5, 7):
+        for k in (1, 2):
+            for _ in range(40):
+                # units from Witt digits, with digits 1 and 2 often zero
+                digits = [rng.randrange(1, p)] + [rng.choice((0, rng.randrange(p))) for _ in range(3)]
+                u = witt_to_padic(WittVector(p, tuple(digits)))
+                x = PAdicNumber(p, rng.choice((0, 1, p, p * p)), u)
+                check = pk_root_exists(x, k)
+                try:
+                    ppow(x, ExactExponent(1, k))
+                    raised, index = None, None
+                except (ValuationCondition, RootCondition) as exc:
+                    raised, index = type(exc), getattr(exc, "digit_index", None)
+                assert raised is raised_for[check.reason]
+                assert index == check.digit_index
+                seen.add((k, check.reason, check.digit_index))
+    assert (2, RootReason.WITT_DIGIT_NONZERO, 2) in seen  # digit 2 the first nonzero one
+    assert {(k, RootReason.OK, None) for k in (1, 2)} <= seen
+    assert (1, RootReason.VALUATION_NOT_DIVISIBLE, None) in seen
 
 
 def test_pk_root_exists_needs_digits():

@@ -12,13 +12,14 @@ from wittpadics import (
     NotAUnit,
     NotCoprime,
     PAdicInt,
+    PrecisionTooLow,
     WittVector,
     factor_system_phi1,
     integer_to_witt,
     padic_to_witt,
     rational_to_witt,
     witt_add,
-    witt_arith,
+    witt_digits,
     witt_inv,
     witt_mul,
     witt_neg,
@@ -39,6 +40,17 @@ def test_padic_to_witt_examples():
     assert padic_to_witt(PAdicInt(3, 3, 2)).digits == (2, 1, 0)
     assert padic_to_witt(PAdicInt(5, 2, 9)).digits == (4, 2)
     assert padic_to_witt(PAdicInt(7, 3, 1)).digits == (1, 0, 0)
+    # witt_digits peels a prefix of the same digits, and no more than K
+    rng = random.Random(9)
+    for _ in range(60):
+        p = rng.choice((2, 3, 5, 7, 11))
+        K = rng.randint(1, 7)
+        x = PAdicInt(p, K, rng.randrange(p**K))
+        digits = padic_to_witt(x).digits
+        for n in range(1, K + 1):
+            assert witt_digits(x, n) == digits[:n]
+        with pytest.raises(PrecisionTooLow):
+            witt_digits(x, K + 1)
 
 
 def test_round_trips():
@@ -173,19 +185,6 @@ def test_inverse_formula_digits():
         q1 = oracles.classical_fermat_quotient(n, p)
         assert inv.digits[0] == n_inv
         assert inv.digits[1] == n_inv * q1 % p
-
-
-def test_witt_arith_dispatch():
-    x = WittVector(5, (2, 1))
-    y = WittVector(5, (3, 0))
-    assert witt_arith("add", x, y) == witt_add(x, y)
-    assert witt_arith("mul", x, y) == witt_mul(x, y)
-    assert witt_arith("neg", x) == witt_neg(x)
-    assert witt_arith("inv", x) == witt_inv(x)
-    with pytest.raises(ValueError):
-        witt_arith("add", x)
-    with pytest.raises(ValueError):
-        witt_arith("div", x, y)
 
 
 # ------------------------------------------------------------- factor system
