@@ -87,7 +87,11 @@ def pexp(theta: PAdicInt) -> PAdicInt:
 
     Term j has valuation >= j*v - v_p(j!) >= j*v - (j-1)/(p-1) with v the
     domain valuation (1 for odd p, 2 for p = 2), which gives the cutoff; the
-    guard precision v_p(J!) covers the worst division by j!.
+    guard precision v_p(J!) covers the worst division by j!.  The p-part of
+    j! is cancelled by integer division of t^j.  The sum is kept scaled by
+    the unit part U_j of j!: S_j = S_(j-1)*u_j + t^j/p^v_p(j!), with u_j the
+    unit part of j, so that S_J = U_J * sum(t^j/j!) and the series costs a
+    single modular inverse, of U_J, at the end.
     """
     p, K = theta.p, theta.precision
     _require_argument(theta)
@@ -105,9 +109,10 @@ def pexp(theta: PAdicInt) -> PAdicInt:
         tpow = tpow * t % m
         e = padic_valuation(j, p)
         fact_v += e
-        fact_unit = fact_unit * (j // p**e) % m
-        total = (total + tpow // p**fact_v * pow(fact_unit, -1, m)) % m
-    return PAdicInt(p, K, total)
+        u = j // p**e
+        fact_unit = fact_unit * u % m
+        total = (total * u + tpow // p**fact_v) % m
+    return PAdicInt(p, K, total * pow(fact_unit, -1, m))
 
 
 @dataclass(frozen=True, slots=True)

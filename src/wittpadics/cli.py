@@ -8,6 +8,7 @@ Precision resolves flag > WITTPADICS_PRECISION env var > config file > 8.
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -306,8 +307,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a token such as -1/2 as an unknown option, not as a value.
+_NEGATIVE_OPERAND = re.compile(r"-\d+(/\d+)?")
+
+
+def _join_negative_operands(argv: list[str]) -> list[str]:
+    """Write `--value -m/n` and `--exponent -m/n` as `--flag=-m/n`."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--value", "--exponent") and _NEGATIVE_OPERAND.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_operands(sys.argv[1:] if argv is None else argv))
     config = load_config(Path(args.config or DEFAULT_CONFIG).expanduser())
     command = COMMANDS[args.command]
     try:

@@ -60,12 +60,13 @@ class WittVector:
 
 
 def witt_to_padic(w: WittVector) -> PAdicInt:
-    """Residue mod p^k of a length-k vector: sum of p^i * teichmuller(x_i)."""
-    k = w.length
-    total = PAdicInt(w.p, k, 0)
-    for i, d in enumerate(w.digits):
-        total = total + teichmuller(PAdicInt(w.p, k, d)) * w.p**i
-    return total
+    """Residue mod p^k of a length-k vector: sum of p^i * teichmuller(x_i).
+
+    Term i is multiplied by p^i, so digit i is lifted only to k - i digits.
+    """
+    p, k = w.p, w.length
+    total = sum(p**i * teichmuller(PAdicInt(p, k - i, d)).residue for i, d in enumerate(w.digits))
+    return PAdicInt(p, k, total)
 
 
 def witt_digits(x: PAdicInt, n: int) -> tuple[int, ...]:

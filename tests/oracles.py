@@ -1,9 +1,10 @@
 """Independent reference computations the tests check the library against.
 
 Everything here deliberately avoids the code paths under test: inverses come
-from the extended gcd, Teichmuller lifts from exhaustive search, ghost
-entries from solving the ghost identity directly (not the recursion), roots
-from brute-force scans, and the analytic maps from exact Fraction series.
+from the extended gcd, Teichmuller lifts from exhaustive search or from the
+p-power map applied K - 1 times, ghost entries from solving the ghost
+identity directly (not the recursion), roots from brute-force scans, and the
+analytic maps from exact Fraction series.
 """
 
 from fractions import Fraction
@@ -35,6 +36,17 @@ def teichmuller_by_search(p: int, precision: int, a: int) -> int:
     hits = [w for w in range(m) if w % p == a % p and pow(w, p, m) == w]
     assert len(hits) == 1
     return hits[0]
+
+
+def teichmuller_by_power(p: int, precision: int, a: int) -> int:
+    """a^(p^(K-1)) mod p^K, or 0 when p divides a.
+
+    Write a unit a as w*(1 + p*t) with w its Teichmuller lift: w^p = w, and
+    (1 + p*t)^(p^(K-1)) = 1 mod p^K for every p, p = 2 included.
+    """
+    if a % p == 0:
+        return 0
+    return pow(a, p ** (precision - 1), p**precision)
 
 
 def ghost_entries_by_solving(p: int, n: int, length: int) -> list[int]:

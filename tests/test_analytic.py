@@ -65,6 +65,15 @@ def test_series_match_fraction_oracle():
         assert pexp(PAdicInt(2, k, t)).residue == oracles.exp_by_fraction_series(2, k, t % 2**k)
 
 
+@pytest.mark.parametrize("p", (2, 3, 11))
+def test_pexp_matches_fraction_oracle_at_32_digits(p):
+    rng = random.Random(p)
+    v = 2 if p == 2 else 1
+    m = p**32
+    for t in [0, p**v, m - p**v] + [p**v * rng.randrange(p ** (32 - v)) for _ in range(6)]:
+        assert pexp(PAdicInt(p, 32, t)).residue == oracles.exp_by_fraction_series(p, 32, t % m)
+
+
 def test_mutual_inverses_500_per_prime():
     rng = random.Random(21)
     for p in PRIMES:

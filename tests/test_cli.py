@@ -196,6 +196,24 @@ def test_bad_numeric_arguments_are_usage_errors(capsys, argv, message, output):
     assert run(capsys, argv + ["--output", output]) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,flag,operand",
+    [
+        (["convert", "--p", "7"], "--value", "-1/2"),
+        (["convert", "--p", "7", "--to", "padic"], "--value", "-3"),
+        (["convert", "--p", "7"], "--value", "-1/7"),
+        (["pow", "--p", "5", "--value", "26", "--precision", "4"], "--exponent", "-1/5"),
+        (["pow", "--p", "5", "--value", "7", "--precision", "4"], "--exponent", "-1/5"),
+        (["pow", "--p", "5", "--value", "3", "--exponent", "-2"], "--value", "-2/3"),
+        (["root", "--p", "5", "--degree", "3"], "--value", "-1/2"),
+    ],
+)
+@pytest.mark.parametrize("output", ["human", "json"])
+def test_negative_operand_after_a_space_reads_like_the_equals_form(capsys, argv, flag, operand, output):
+    argv = argv + ["--output", output]
+    assert run(capsys, argv + [flag, operand]) == run(capsys, argv + [f"{flag}={operand}"])
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

@@ -122,6 +122,22 @@ def test_teichmuller_matches_exhaustive_search():
             assert teichmuller(PAdicInt(p, k, a)).residue == expected
 
 
+# Small and wide primes, up to the largest prime below 2^64.
+LIFT_PRIMES = (2, 3, 5, 11, 101, 1000003, 2**61 - 1, 18446744073709551557)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 8, 32, 64))
+@pytest.mark.parametrize("p", LIFT_PRIMES)
+def test_teichmuller_matches_power_oracle(p, k):
+    rng = random.Random(p + k)
+    m = p**k
+    # unreduced residues (>= p), multiples of p, and random residues
+    cases = [0, 1, p - 1, p, p + 1, 7 * p, m - 1, 2 * m + 3]
+    cases += [rng.randrange(m) for _ in range(4)]
+    for a in cases:
+        assert teichmuller(PAdicInt(p, k, a)).residue == oracles.teichmuller_by_power(p, k, a)
+
+
 def test_teichmuller_fixpoint_and_idempotent():
     rng = random.Random(2)
     for _ in range(60):

@@ -36,6 +36,15 @@ def test_witt_to_padic_examples():
     assert witt_to_padic(WittVector(7, (1, 0, 0))).residue == 1
 
 
+@pytest.mark.parametrize("p", (3, 101, 1000003))
+def test_witt_to_padic_matches_power_oracle(p):
+    rng = random.Random(p)
+    for k in (1, 2, 5, 16, 33, 64):
+        digits = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(k)]
+        expected = sum(p**i * oracles.teichmuller_by_power(p, k, d) for i, d in enumerate(digits)) % p**k
+        assert witt_to_padic(WittVector(p, tuple(digits))).residue == expected
+
+
 def test_padic_to_witt_examples():
     assert padic_to_witt(PAdicInt(3, 3, 2)).digits == (2, 1, 0)
     assert padic_to_witt(PAdicInt(5, 2, 9)).digits == (4, 2)
