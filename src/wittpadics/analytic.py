@@ -4,7 +4,7 @@ log(1+t) = t - t^2/2 + ... and exp(t) = 1 + t + t^2/2! + ... terminate mod
 p^K once every remaining term has valuation >= K.  Terms are accumulated at
 a working precision with enough guard digits that each division by j (or by
 j!) is exact: the p-part of the divisor is cancelled by integer division of
-the power of t, the unit part by a modular inverse.
+the power of t, the unit part by one modular inverse at the end of the sum.
 """
 
 from dataclasses import dataclass
@@ -62,7 +62,8 @@ def plog(x: PAdicInt) -> PAdicInt:
 
     Term j has valuation >= j - floor(log_p j), a non-decreasing bound, so
     the series is cut at the last index where it stays below K.  The guard
-    precision floor(log_p J) covers the worst division by j.
+    precision floor(log_p J) covers the worst division by j.  As in pexp, the
+    sum is kept over the product D_J of the unit parts of 1..J, inverted once.
     """
     p, K = x.p, x.precision
     _require_principal(x)
@@ -73,13 +74,14 @@ def plog(x: PAdicInt) -> PAdicInt:
     guard = _floor_log(p, last) if last else 0
     m = p ** (K + guard)
     total = 0
-    tpow = 1
+    tpow = denom = 1
     for j in range(1, last + 1):
         tpow = tpow * t % m
         e = padic_valuation(j, p)
-        term = tpow // p**e * pow(j // p**e, -1, m) % m
-        total = (total - term if j % 2 == 0 else total + term) % m
-    return PAdicInt(p, K, total)
+        u = j // p**e
+        total = (total * u - (-1) ** j * (tpow // p**e) * denom) % m
+        denom = denom * u % m
+    return PAdicInt(p, K, total * pow(denom, -1, m))
 
 
 def pexp(theta: PAdicInt) -> PAdicInt:

@@ -1,5 +1,6 @@
 """Primality checking and prime enumeration."""
 
+import itertools
 from functools import lru_cache
 
 from .errors import NotPrime
@@ -48,14 +49,15 @@ def check_prime(p: int) -> None:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by a sieve of Eratosthenes."""
+    """All primes <= limit by a sieve of Eratosthenes in which flags[j] stands for 2j + 1."""
     if limit < 2:
         return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    i = 2
+    n = (limit + 1) // 2
+    flags = bytearray([1]) * n
+    flags[0] = 0
+    i = 3
     while i * i <= limit:
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-        i += 1
-    return [i for i, f in enumerate(flags) if f]
+        if flags[i // 2]:
+            flags[i * i // 2 :: i] = bytearray(len(range(i * i // 2, n, i)))
+        i += 2
+    return [2, *itertools.compress(range(1, limit + 1, 2), flags)]

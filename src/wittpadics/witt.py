@@ -144,14 +144,15 @@ def witt_inv(x: WittVector) -> WittVector:
 
 
 def factor_system_phi1(p: int, x0: int, y0: int) -> int:
-    """Carry digit of length-2 addition: sum((-1)^i/i x0^i y0^(p-i)) mod p."""
+    """Carry digit of length-2 addition: sum((-1)^i/i x0^i y0^(p-i)) mod p.
+
+    As C(p, i)/p = (-1)^(i-1)/i mod p, this is -((x0 + y0)^p - x0^p - y0^p)/p mod p.
+    """
     check_prime(p)
     if p == 2:
         raise WrongPrime("the factor-system formula needs p odd")
     x0 %= p
     y0 %= p
-    acc = 0
-    for i in range(1, p):
-        term = pow(i, -1, p) * pow(x0, i, p) * pow(y0, p - i, p)
-        acc = (acc - term) if i % 2 else (acc + term)
-    return acc % p
+    q = p * p
+    carry = (pow(x0 + y0, p, q) - pow(x0, p, q) - pow(y0, p, q)) % q
+    return -(carry // p) % p

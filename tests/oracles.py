@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: inverses come
 from the extended gcd, Teichmuller lifts from exhaustive search or from the
 p-power map applied K - 1 times, ghost entries from solving the ghost
-identity directly (not the recursion), roots from brute-force scans, and the
-analytic maps from exact Fraction series.
+identity directly (not the recursion), roots from brute-force scans, the
+length-2 carry from its defining p-term sum, and the analytic maps from
+exact Fraction series.
 """
 
 from fractions import Fraction
@@ -47,6 +48,15 @@ def teichmuller_by_power(p: int, precision: int, a: int) -> int:
     if a % p == 0:
         return 0
     return pow(a, p ** (precision - 1), p**precision)
+
+
+def phi1_by_sum(p: int, x0: int, y0: int) -> int:
+    """The length-2 carry as its defining sum: sum((-1)^i/i x0^i y0^(p-i)) mod p."""
+    acc = 0
+    for i in range(1, p):
+        term = pow(i, -1, p) * pow(x0, i, p) * pow(y0, p - i, p)
+        acc = (acc - term) if i % 2 else (acc + term)
+    return acc % p
 
 
 def ghost_entries_by_solving(p: int, n: int, length: int) -> list[int]:

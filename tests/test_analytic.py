@@ -74,6 +74,15 @@ def test_pexp_matches_fraction_oracle_at_32_digits(p):
         assert pexp(PAdicInt(p, 32, t)).residue == oracles.exp_by_fraction_series(p, 32, t % m)
 
 
+@pytest.mark.parametrize("p", (2, 3, 11))
+def test_plog_matches_fraction_oracle_at_32_digits(p):
+    rng = random.Random(p)
+    v = 2 if p == 2 else 1
+    m = p**32
+    for t in [0, p**v, m - p**v] + [p**v * rng.randrange(p ** (32 - v)) for _ in range(6)]:
+        assert plog(PAdicInt(p, 32, 1 + t)).residue == oracles.log_by_fraction_series(p, 32, (1 + t) % m)
+
+
 def test_mutual_inverses_500_per_prime():
     rng = random.Random(21)
     for p in PRIMES:

@@ -1,10 +1,10 @@
-"""Property tests of the Teichmuller lift over random primes below 2^64."""
+"""Property tests of the Teichmuller lift and of plog/pexp over random primes below 2^64."""
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittpadics import PAdicInt, teichmuller
+from wittpadics import PAdicInt, pexp, plog, teichmuller
 
 # sympy.prevprime(n) is the largest prime below n, so this covers 2 .. 2^64 - 59.
 primes = st.integers(3, 2**64).map(sympy.prevprime)
@@ -22,3 +22,17 @@ def test_teichmuller_lift_properties(p, k, a, b):
     assert pow(wa.residue, p, m) == wa.residue
     assert teichmuller(wa) == wa
     assert wa * wb == teichmuller(PAdicInt(p, k, a * b))
+
+
+@settings(deadline=None)
+@given(primes, st.integers(2, 40), residues, residues, residues)
+def test_log_and_exp_are_inverse_homomorphisms(p, k, a, b, c):
+    # The domains: principal units 1 + qZ_p and arguments qZ_p, q = 4 for p = 2.
+    q = 4 if p == 2 else p
+    x = PAdicInt(p, k, 1 + q * a)
+    y = PAdicInt(p, k, 1 + q * b)
+    theta = PAdicInt(p, k, q * c)
+    assert pexp(plog(x)) == x
+    assert plog(pexp(theta)) == theta
+    assert plog(x * y) == plog(x) + plog(y)
+    assert pexp(theta + plog(y)) == pexp(theta) * y

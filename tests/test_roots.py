@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import sympy
 
 import oracles
 from wittpadics import (
@@ -383,14 +384,8 @@ def test_wieferich_search():
 
 
 def test_wieferich_matches_direct_scan():
-    from wittpadics import primes_up_to
-
     for base in (2, 3, 5):
-        expected = [
-            p
-            for p in primes_up_to(500)
-            if p != 2 and base % p and pow(base, p - 1, p * p) == 1
-        ]
+        expected = [p for p in sympy.primerange(3, 501) if base % p and pow(base, p - 1, p * p) == 1]
         assert wieferich_search(base, 500) == expected
 
 
@@ -419,10 +414,8 @@ def test_flt_witness_small_primes_none():
 
 
 def test_flt_witness_matches_phi1_scan():
-    from wittpadics import factor_system_phi1
-
-    for p in (11, 13, 17, 19):
-        hits = [y for y in range(1, p - 1) if factor_system_phi1(p, 1, y) == 0]
+    for p in (11, 13, 17, 19, 1009):
+        hits = [y for y in range(1, p - 1) if oracles.phi1_by_sum(p, 1, y) == 0]
         w = flt_local_witness(p)
         if hits:
             assert w is not None and w.y == hits[0]

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+import sympy
 
 import oracles
 from wittpadics import (
@@ -214,6 +215,29 @@ def test_phi1_matches_length_two_addition():
                 total = witt_add(WittVector(p, (x0, 0)), WittVector(p, (y0, 0)))
                 expected = WittVector(p, ((x0 + y0) % p, factor_system_phi1(p, x0, y0)))
                 assert total == expected
+
+
+def test_phi1_matches_sum_oracle_on_every_residue_pair():
+    for p in sympy.primerange(3, 102):
+        for x0 in range(p):
+            for y0 in range(p):
+                assert factor_system_phi1(p, x0, y0) == oracles.phi1_by_sum(p, x0, y0), (p, x0, y0)
+
+
+def test_phi1_reduces_negative_and_unreduced_arguments():
+    for p in (3, 5, 7, 101):
+        for x0 in (-2 * p - 1, -p, -2, -1, p, p + 1, 3 * p + 2, 10**30 + 7):
+            for y0 in (-1, 0, 1, p - 1, 2 * p + 3, -(10**20)):
+                assert factor_system_phi1(p, x0, y0) == oracles.phi1_by_sum(p, x0, y0), (p, x0, y0)
+                assert factor_system_phi1(p, y0, x0) == oracles.phi1_by_sum(p, y0, x0), (p, y0, x0)
+
+
+@pytest.mark.parametrize("p", (1009, 10007))
+def test_phi1_matches_sum_oracle_at_large_p(p):
+    rng = random.Random(p)
+    for _ in range(200):
+        x0, y0 = rng.randrange(p), rng.randrange(p)
+        assert factor_system_phi1(p, x0, y0) == oracles.phi1_by_sum(p, x0, y0), (x0, y0)
 
 
 def test_phi1_cross_check_integer_two():
