@@ -31,8 +31,6 @@ from .padic import (
     GhostSequence,
     PAdicInt,
     PAdicNumber,
-    digit_expansion,
-    from_digits,
     ghost_sequence,
     ghost_value,
     hensel_kth_root,
@@ -62,7 +60,6 @@ from .witt import (
     factor_system_phi1,
     integer_to_witt,
     padic_to_witt,
-    rational_to_witt,
     witt_add,
     witt_digits,
     witt_inv,

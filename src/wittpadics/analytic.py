@@ -198,12 +198,13 @@ def _check_pk_root(x: PAdicNumber, k: int) -> None:
 
 
 def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:
-    """x**y via exp(y * log(unit part)), with the valuation handled exactly.
+    """x**y, with the valuation handled exactly.
 
     Integer exponents reduce to modular powering.  An exponent u/p^k needs
     the valuation divisible by p^k and the unit's Witt digits 1..k all zero;
-    the argument of the log is then divisible by p^(k+1), the division by
-    p^k is exact, and the result carries K - k digits.
+    the polar argument is then divisible by p^(k+1), and the result is the
+    polar form of x scaled by u/p^k: valuation and argument times u/p^k,
+    Teichmuller digit to the power u.  It carries K - k digits.
     """
     p = x.p
     y = y.normalized(p)
@@ -215,11 +216,6 @@ def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:
     if k == 0:
         return x.pow_int(u)
     _check_pk_root(x, k)
-    K = x.unit.precision
-    digit0 = x.unit.residue % p
-    lift = teichmuller(PAdicInt(p, K, digit0))
-    theta = plog(x.unit * unit_inverse(lift))
-    scaled = theta.exact_div_p_power(k) * u
-    out_prec = K - k
-    new_lift = teichmuller(PAdicInt(p, out_prec, pow(digit0, u, p)))
-    return PAdicNumber(p, x.valuation // p**k * u, new_lift * pexp(scaled))
+    form = polar(x)
+    scaled = form.argument.exact_div_p_power(k) * u
+    return recompose(PolarForm(p, form.valuation // p**k * u, pow(form.teich_digit, u, p), scaled))

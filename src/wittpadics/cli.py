@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .analytic import ExactExponent, pexp, plog, polar, ppow
-from .errors import LengthLimit, NotPrime, PadicError
+from .errors import NotPrime, PadicError
 from .padic import PAdicInt, PAdicNumber, padic_valuation, teichmuller
 from .primes import check_prime
 from .roots import (
@@ -323,6 +323,9 @@ def _join_negative_operands(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Values and residues may run past the interpreter's 4300-digit default.
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(_join_negative_operands(sys.argv[1:] if argv is None else argv))
     config = load_config(Path(args.config or DEFAULT_CONFIG).expanduser())
     command = COMMANDS[args.command]
@@ -331,7 +334,7 @@ def main(argv=None) -> int:
         output = _resolve_output(args, config)
         p = _require_p(args) if command.needs_p else None
         result, lines = command.handler(args, p, precision)
-    except (UsageError, ValueError, NotPrime, LengthLimit) as exc:
+    except (UsageError, ValueError, NotPrime) as exc:
         # ValueError is how the library rejects an out-of-range argument,
         # such as a root degree below 1 or a Wieferich base below 2.
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ precisions, and exact division by p^j costs j digits.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -149,26 +148,6 @@ def teichmuller(a: PAdicInt) -> PAdicInt:
     return PAdicInt(p, K, w)
 
 
-def digit_expansion(x: PAdicInt) -> list[int]:
-    """Base-p digits l_0, ..., l_{K-1} with x = sum l_i p^i."""
-    out = []
-    r = x.residue
-    for _ in range(x.precision):
-        r, d = divmod(r, x.p)
-        out.append(d)
-    return out
-
-
-def from_digits(p: int, digits) -> PAdicInt:
-    """Rebuild a residue from its base-p digits (inverse of digit_expansion)."""
-    residue = 0
-    for i, d in enumerate(digits):
-        if not 0 <= d < p:
-            raise ValueError(f"digit {d} out of range for base {p}")
-        residue += d * p**i
-    return PAdicInt(p, len(digits), residue)
-
-
 def kth_power_residue_test(p: int, a: int, k: int) -> bool:
     """Whether a is a k-th power mod p; requires p not dividing k.
 
@@ -209,14 +188,10 @@ def hensel_kth_root(a: PAdicInt, k: int) -> tuple[PAdicInt, ...]:
         raise WrongPrime("p = 2 roots are handled by the square-root routine")
     if k < 1:
         raise InvalidDegree(f"degree must be >= 1, got {k}")
-    if k % p == 0:
-        raise InvalidDegree(f"p = {p} divides the degree {k}")
-    a0 = a.residue % p
-    if a0 == 0:
-        raise NotAUnit(f"{a.residue} is divisible by {p}")
-    g = gcd(k, p - 1)
-    if pow(a0, (p - 1) // g, p) != 1:
+    if not kth_power_residue_test(p, a.residue, k):
         return ()
+    a0 = a.residue % p
+    g = gcd(k, p - 1)
     base = []
     for r in range(1, p):
         if pow(r, k, p) == a0:
@@ -340,14 +315,6 @@ class PAdicNumber:
         if self.unit is None:
             raise ZeroInput("the exact zero carries no precision")
         return self.unit.precision
-
-    def abs_value(self) -> Fraction:
-        """The p-adic absolute value p^(-valuation); 0 for the exact zero."""
-        if self.is_zero:
-            return Fraction(0)
-        if self.valuation >= 0:
-            return Fraction(1, self.p**self.valuation)
-        return Fraction(self.p ** -self.valuation)
 
     def to_padic_int(self) -> PAdicInt:
         """The value as a plain residue; needs valuation >= 0."""

@@ -17,7 +17,7 @@ from .errors import (
     WrongPrime,
     ZeroInput,
 )
-from .padic import PAdicInt, PAdicNumber, hensel_kth_root, padic_valuation
+from .padic import PAdicInt, PAdicNumber, hensel_kth_root, kth_power_residue_test, padic_valuation
 from .primes import check_prime, primes_up_to
 from .witt import factor_system_phi1, witt_digits
 
@@ -102,10 +102,10 @@ def fermat_quotient(x: PAdicNumber) -> PAdicInt:
 
 def _k1_cross_check(unit: PAdicInt, digit_ok: bool) -> None:
     # The three equivalent degree-p tests must agree; a mismatch is a bug.
+    # Each reads only the unit mod p^2.
     p = unit.p
-    q = fermat_quotient(PAdicNumber(p, 0, unit))
-    quot_ok = q.residue % p == 0
     a = unit.residue % p**2
+    quot_ok = (pow(a, p - 1, p**2) - 1) // p == 0
     power_ok = pow(a, p, p**2) == a
     l0, l1 = a % p, a // p % p
     predicted = (pow(l0, p, p**3) - l0) % p**2 // p % p
@@ -205,9 +205,10 @@ def sqrt_2adic(x: PAdicNumber) -> RootReport:
 def general_root(x: PAdicNumber, m: int) -> RootReport:
     """All m-th roots of x for odd p, splitting m into p^v times m'.
 
-    The p-free part is handled by Hensel lifting (gcd(m', p-1) roots), the
-    p-part by the digit criterion (one root).  The p-part obstruction is
-    reported first when both fail.  Roots are determined to K - v digits.
+    The unit part passes in order: the digit criterion for its p^v-th root,
+    the m'-th power residue test, then the one p^v-th root is taken and its
+    gcd(m', p-1) m'-th roots are Hensel-lifted.  The first failure is
+    reported.  Roots are determined to K - v digits.
     """
     if x.is_zero:
         raise ZeroInput("zero has no root report")
@@ -224,25 +225,18 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
     out_prec = K - v
     if x.valuation % m != 0:
         return RootReport(False, RootReason.VALUATION_NOT_DIVISIBLE, None, (), max(out_prec, 1))
-    w = x.valuation // m
+    unit = PAdicNumber(p, 0, x.unit)
     if v > 0:
-        check = pk_root_exists(PAdicNumber(p, 0, x.unit), v)
+        check = pk_root_exists(unit, v)
         if not check.ok:
             return RootReport(False, check.reason, check.digit_index, (), out_prec)
-    unit_roots = hensel_kth_root(x.unit, m_prime) if m_prime > 1 else (x.unit,)
-    if not unit_roots:
+    # The p^v-th root is x.unit mod p, so this is the verdict Hensel would give.
+    if not kth_power_residue_test(p, x.unit.residue, m_prime):
         return RootReport(False, RootReason.NOT_KTH_RESIDUE, None, (), out_prec)
-    final = []
-    for s in unit_roots:
-        if v == 0:
-            final.append(PAdicNumber(p, w, s))
-            continue
-        rep = pk_root(PAdicNumber(p, 0, s), v)
-        if not rep.exists:
-            return RootReport(False, rep.reason, rep.digit_index, (), out_prec)
-        final.append(PAdicNumber(p, w, rep.roots[0].unit))
-    final.sort(key=lambda r: r.unit.residue)
-    return RootReport(True, RootReason.OK, None, tuple(final), K if v == 0 else out_prec)
+    root = ppow(unit, ExactExponent(1, v)).unit
+    roots = sorted(hensel_kth_root(root, m_prime) if m_prime > 1 else (root,), key=lambda r: r.residue)
+    w = x.valuation // m
+    return RootReport(True, RootReason.OK, None, tuple(PAdicNumber(p, w, r) for r in roots), out_prec)
 
 
 def wieferich_search(base: int, limit: int) -> list[int]:

@@ -8,14 +8,8 @@ independent formula for cross-checking.
 
 from dataclasses import dataclass
 
-from .errors import MismatchedRing, NotAUnit, NotCoprime, WrongPrime
-from .padic import (
-    GHOST_LENGTH_CAP,
-    PAdicInt,
-    ghost_sequence,
-    teichmuller,
-    unit_inverse,
-)
+from .errors import MismatchedRing, NotAUnit, WrongPrime
+from .padic import PAdicInt, teichmuller, unit_inverse
 from .primes import check_prime
 
 
@@ -41,10 +35,6 @@ class WittVector:
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "digits": list(self.digits)}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "WittVector":
-        return cls(int(obj["p"]), tuple(int(d) for d in obj["digits"]))
 
     def __str__(self):
         return "(" + ",".join(str(d) for d in self.digits) + "]"
@@ -90,30 +80,12 @@ def padic_to_witt(x: PAdicInt) -> WittVector:
     return WittVector(x.p, witt_digits(x, x.precision))
 
 
-def integer_to_witt(n: int, p: int, length: int, *, ghost_cap: int = GHOST_LENGTH_CAP) -> WittVector:
-    """Witt digits of an integer via its ghost quotients.
-
-    For p not dividing n the digits are (n, -n q_1(n), -n q_2(n), ...) mod p;
-    multiples of p fall back to digit peeling.
-    """
+def integer_to_witt(n: int, p: int, length: int) -> WittVector:
+    """Witt digits of an integer: those of its residue mod p^length."""
     check_prime(p)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    if n % p == 0:
-        return padic_to_witt(PAdicInt(p, length, n))
-    seq = ghost_sequence(p, n, length - 1, cap=ghost_cap)
-    digits = [n % p] + [(-n * q) % p for q in seq.quotients[1:]]
-    return WittVector(p, tuple(digits))
-
-
-def rational_to_witt(m: int, n: int, p: int, length: int) -> WittVector:
-    """Witt digits of the p-adic integer m/n; requires p not dividing n."""
-    check_prime(p)
-    if n % p == 0:
-        raise NotCoprime(f"denominator {n} is divisible by {p}")
-    mod = p**length
-    value = m % mod * pow(n % mod, -1, mod)
-    return padic_to_witt(PAdicInt(p, length, value))
+    return padic_to_witt(PAdicInt(p, length, n))
 
 
 def _aligned(x: WittVector, y: WittVector) -> tuple[WittVector, WittVector]:

@@ -224,6 +224,11 @@ def test_ppow_fractional_inverts_powering():
         y = x.pow_int(p**k)
         back = ppow(y, ExactExponent(1, k))
         assert back.unit == x.unit.with_precision(prec - k)
+        # (x^(p^k))^(u/p^k) = x^u, also when p divides u and the exponent normalizes
+        for u in (-3, -1, 2, 5):
+            power = ppow(y, ExactExponent(u, k))
+            assert power.valuation == 0
+            assert power.unit.with_precision(prec - k) == x.pow_int(u).unit.with_precision(prec - k)
 
 
 def test_power_digit_pattern():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from wittpadics import WittVector, integer_to_witt
+from wittpadics import PAdicInt, integer_to_witt, teichmuller
 from wittpadics.cli import ENV_PRECISION, main
 
 
@@ -86,8 +86,7 @@ def test_convert_json_round_trip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True and payload["precision"] == 3
-    parsed = WittVector.from_json_dict(payload["result"]["witt"])
-    assert parsed == integer_to_witt(2, 3, 3)
+    assert payload["result"]["witt"] == integer_to_witt(2, 3, 3).to_json_dict()
 
 
 def test_convert_rational_value(capsys):
@@ -138,6 +137,20 @@ def test_json_large_integers_become_strings(capsys):
     payload = json.loads(out)
     assert isinstance(payload["result"]["modulus"], str)
     assert int(payload["result"]["modulus"]) == 13**16
+
+
+@pytest.mark.parametrize("output", ["human", "json"])
+@pytest.mark.parametrize(
+    "value_text, value, precision",
+    [("2", 2, 4200), ("1" + "0" * 4398 + "7", 10**4399 + 7, 8)],
+    ids=["4374-digit-residue", "4400-digit-value"],
+)
+def test_integers_past_the_4300_digit_conversion_limit(capsys, output, value_text, value, precision):
+    argv = ["teichmuller", "--p", "11", "--value", value_text, "--precision", str(precision), "--output", output]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    residue = json.loads(out)["result"]["residue"] if output == "json" else out.split()[0]
+    assert int(residue) == teichmuller(PAdicInt(11, precision, value)).residue
 
 
 # ------------------------------------------------------------------ failures

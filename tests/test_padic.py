@@ -15,8 +15,6 @@ from wittpadics import (
     NotPrime,
     PAdicInt,
     PAdicNumber,
-    digit_expansion,
-    from_digits,
     ghost_sequence,
     ghost_value,
     hensel_kth_root,
@@ -158,25 +156,6 @@ def test_teichmuller_is_multiplicative():
         a, b = rng.randrange(1, p), rng.randrange(1, p)
         lhs = teichmuller(PAdicInt(p, k, a)) * teichmuller(PAdicInt(p, k, b))
         assert lhs == teichmuller(PAdicInt(p, k, a * b))
-
-
-# ------------------------------------------------------------- digit expansion
-
-
-def test_digit_expansion_examples():
-    assert digit_expansion(PAdicInt(5, 3, 59)) == [4, 1, 2]
-    assert digit_expansion(PAdicInt(3, 4, 0)) == [0, 0, 0, 0]
-    assert digit_expansion(PAdicInt(11, 2, 113)) == [3, 10]
-    assert (-8) % 121 == 113
-
-
-def test_digit_round_trip():
-    rng = random.Random(4)
-    for _ in range(100):
-        p = rng.choice(PRIMES)
-        k = rng.randint(1, 8)
-        x = PAdicInt(p, k, rng.randrange(p**k))
-        assert from_digits(p, digit_expansion(x)) == x
 
 
 # ------------------------------------------------------- k-th power residues
@@ -322,8 +301,6 @@ def test_padic_number_multiplication_and_inverse():
     inv = x.inverse()
     assert (x * inv).unit.residue == 1
     assert padic_valuation(50, 5) == 2
-    assert x.abs_value() == 1
-    assert y.abs_value().denominator == 5
 
 
 def test_padic_number_rejects_non_unit_part():

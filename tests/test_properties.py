@@ -1,13 +1,14 @@
-"""Property tests of the Teichmuller lift and of plog/pexp over random primes below 2^64."""
+"""Property tests of the Teichmuller lift, plog/pexp and p^k-th roots over random primes below 2^64."""
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wittpadics import PAdicInt, pexp, plog, teichmuller
+from wittpadics import PAdicInt, PAdicNumber, pexp, pk_root, plog, teichmuller
 
 # sympy.prevprime(n) is the largest prime below n, so this covers 2 .. 2^64 - 59.
 primes = st.integers(3, 2**64).map(sympy.prevprime)
+odd_primes = st.integers(4, 2**64).map(sympy.prevprime)
 precisions = st.integers(1, 40)
 residues = st.integers(0, 2**2600)
 
@@ -36,3 +37,14 @@ def test_log_and_exp_are_inverse_homomorphisms(p, k, a, b, c):
     assert plog(pexp(theta)) == theta
     assert plog(x * y) == plog(x) + plog(y)
     assert pexp(theta + plog(y)) == pexp(theta) * y
+
+
+@settings(deadline=None)
+@given(odd_primes, st.integers(3, 40), st.sampled_from((1, 2)), residues)
+def test_pk_root_of_a_pk_th_power(p, K, k, a):
+    assume(a % p)
+    x = PAdicInt(p, K, a)
+    report = pk_root(PAdicNumber(p, 0, PAdicInt(p, K, pow(a, p**k, p**K))), k)
+    assert report.exists and report.output_precision == K - k
+    assert [r.unit for r in report.roots] == [x.with_precision(K - k)]
+    assert report.roots[0].valuation == 0

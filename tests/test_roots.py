@@ -29,6 +29,7 @@ from wittpadics import (
     wieferich_search,
     witt_to_padic,
 )
+from wittpadics.roots import _k1_cross_check
 
 
 def unit(p, prec, r):
@@ -119,6 +120,26 @@ def test_pk_root_exists_and_ppow_report_the_same_obstruction():
 def test_pk_root_exists_needs_digits():
     with pytest.raises(PrecisionTooLow):
         pk_root_exists(unit(5, 2, 6), 2)
+
+
+def test_k1_cross_check_rejects_a_wrong_digit_verdict():
+    # the cross-check must not become a no-op: a flipped verdict has to raise
+    rng = random.Random(38)
+    verdicts = set()
+    for _ in range(60):
+        p = rng.choice((3, 5, 7, 11, 1000003))
+        prec = rng.randint(2, 8)
+        r = rng.randrange(1, p**prec)
+        if r % p == 0:
+            continue
+        if rng.random() < 0.5:
+            r = pow(r, p, p**prec)
+        x = unit(p, prec, r)
+        truth = pk_root_exists(x, 1).ok
+        verdicts.add(truth)
+        with pytest.raises(AssertionError):
+            _k1_cross_check(x.unit, digit_ok=not truth)
+    assert verdicts == {True, False}
 
 
 def test_criterion_equivalence_500_units():
@@ -340,14 +361,21 @@ def test_general_root_not_kth_residue():
 
 def test_general_root_matches_brute_force():
     rng = random.Random(37)
-    cases = 0
-    for p, prec_max in ((3, 6), (5, 4)):
-        while cases < (60 if p == 3 else 120):
+    cases = multi_root_p_part = 0
+    # p = 7 takes degrees 21 and 42, where gcd(m', p - 1) = 3 or 6 meets v = 1;
+    # half its inputs are m-th powers so that the roots exist.
+    for p, prec_max, target in ((3, 6, 60), (5, 4, 120), (7, 4, 200)):
+        while cases < target:
             prec = rng.randint(3, prec_max)
             r = rng.randrange(1, p**prec)
             if r % p == 0:
                 continue
-            m = rng.randint(2, 12)
+            if p < 7:
+                m = rng.randint(2, 12)
+            else:
+                m = rng.choice((3, 6, 7, 14, 21, 42))
+                if rng.random() < 0.5:
+                    r = pow(r, m, p**prec)
             v = 0
             mm = m
             while mm % p == 0:
@@ -362,7 +390,9 @@ def test_general_root_matches_brute_force():
             assert got == sorted({b % out_mod for b in brute})
             assert report.exists == bool(brute)
             cases += 1
-    assert cases >= 120
+            multi_root_p_part += v > 0 and len(report.roots) > 1
+    assert cases >= 200
+    assert multi_root_p_part > 0
 
 
 def test_general_root_rejects_p2_and_zero():

@@ -8,17 +8,16 @@ import sympy
 
 import oracles
 from wittpadics import (
-    LengthLimit,
     MismatchedRing,
     NotAUnit,
-    NotCoprime,
     PAdicInt,
+    PAdicNumber,
     PrecisionTooLow,
     WittVector,
     factor_system_phi1,
+    ghost_sequence,
     integer_to_witt,
     padic_to_witt,
-    rational_to_witt,
     witt_add,
     witt_digits,
     witt_inv,
@@ -98,6 +97,8 @@ def test_integer_to_witt_examples():
 
 
 def test_integer_embedding_matches_digit_peeling():
+    # The paper's link to Fermat quotients: digit i of n is -n * q_i mod p,
+    # with q_i = -a_i / n from the ghost sequence a_0 = n, a_1, ...
     rng = random.Random(12)
     checked = 0
     while checked < 200:
@@ -106,7 +107,8 @@ def test_integer_embedding_matches_digit_peeling():
         n = rng.randint(2, 5000) * rng.choice((1, -1))
         if n % p == 0:
             continue
-        assert integer_to_witt(n, p, k) == padic_to_witt(PAdicInt(p, k, n))
+        quotients = ghost_sequence(p, n, k - 1).quotients
+        assert integer_to_witt(n, p, k).digits == tuple(-n * q % p for q in quotients)
         checked += 1
 
 
@@ -114,19 +116,20 @@ def test_integer_to_witt_multiple_of_p_falls_back():
     assert integer_to_witt(6, 3, 3) == padic_to_witt(PAdicInt(3, 3, 6))
 
 
-def test_integer_to_witt_length_cap():
-    with pytest.raises(LengthLimit):
-        integer_to_witt(2, 3, 11)
-    wide = integer_to_witt(2, 3, 11, ghost_cap=10)
-    assert wide == padic_to_witt(PAdicInt(3, 11, 2))
+def test_integer_to_witt_of_a_large_integer():
+    # ghost-sequence entries for n = 10^6 grow like n^(p^k): length 5 at p = 101 is out of reach
+    for length in (4, 5):
+        assert integer_to_witt(10**6, 101, length) == padic_to_witt(PAdicInt(101, length, 10**6))
+
+
+def rational_witt(m, n, p, length):
+    return padic_to_witt(PAdicNumber.from_rational(m, n, p, length).unit)
 
 
 def test_rational_to_witt_examples():
-    assert rational_to_witt(2, 3, 5, 2).digits == (4, 2)
-    assert rational_to_witt(1, 1, 7, 3).digits == (1, 0, 0)
-    assert rational_to_witt(5, 2, 3, 2) == padic_to_witt(PAdicInt(3, 2, 7))
-    with pytest.raises(NotCoprime):
-        rational_to_witt(2, 10, 5, 2)
+    assert rational_witt(2, 3, 5, 2).digits == (4, 2)
+    assert rational_witt(1, 1, 7, 3).digits == (1, 0, 0)
+    assert rational_witt(5, 2, 3, 2) == padic_to_witt(PAdicInt(3, 2, 7))
 
 
 def test_rational_second_digit_formula():
@@ -138,7 +141,7 @@ def test_rational_second_digit_formula():
         n = rng.randint(1, 400)
         if m % p == 0 or n % p == 0:
             continue
-        w = rational_to_witt(m, n, p, 2)
+        w = rational_witt(m, n, p, 2)
         ratio = m * pow(n, -1, p) % p
         q1m = oracles.classical_fermat_quotient(m, p)
         q1n = oracles.classical_fermat_quotient(n, p)
@@ -254,4 +257,4 @@ def test_rendering_and_json():
     w = WittVector(3, (2, 1, 0))
     assert str(w) == "(2,1,0]"
     blob = json.dumps(w.to_json_dict())
-    assert WittVector.from_json_dict(json.loads(blob)) == w
+    assert json.loads(blob) == {"p": 3, "digits": [2, 1, 0]}
