@@ -32,7 +32,6 @@ from .padic import (
     PAdicInt,
     PAdicNumber,
     ghost_sequence,
-    ghost_value,
     hensel_kth_root,
     kth_power_residue_test,
     padic_valuation,

@@ -26,7 +26,7 @@ class ExactDivisionFailure(PadicError):
 
 
 class LengthLimit(PadicError):
-    """Requested ghost-sequence length exceeds the configured cap."""
+    """Requested ghost sequence exceeds the length cap or the bit budget."""
 
 
 class MismatchedRing(PadicError):

@@ -24,9 +24,10 @@ from .errors import (
 )
 from .primes import check_prime
 
-#: Ghost-sequence entries grow like n**(p**k); the default cap keeps the
-#: exact-integer recursion affordable.
+#: Ghost-sequence entries grow like n**(p**k): the default cap bounds k, and a
+#: sequence whose last entry would pass the bit budget, bits(n) * p**k, is refused.
 GHOST_LENGTH_CAP = 8
+GHOST_BIT_BUDGET = 2**20
 
 
 def padic_valuation(n: int, p: int) -> int:
@@ -215,11 +216,6 @@ class GhostSequence:
     quotients: tuple[int, ...] | None
 
 
-def ghost_value(p: int, entries, j: int) -> int:
-    """The j-th ghost polynomial sum(p^i * a_i^(p^(j-i)), i <= j)."""
-    return sum(p**i * entries[i] ** (p ** (j - i)) for i in range(j + 1))
-
-
 def ghost_sequence(
     p: int,
     n: int,
@@ -238,6 +234,9 @@ def ghost_sequence(
         raise ValueError(f"length must be >= 0, got {length}")
     if length > cap:
         raise LengthLimit(f"ghost length {length} exceeds the cap {cap}")
+    # p**length passes the budget once length reaches the budget's bit length
+    if max(1, abs(n).bit_length()) * p ** min(length, GHOST_BIT_BUDGET.bit_length()) > GHOST_BIT_BUDGET:
+        raise LengthLimit(f"ghost entries for n = {n}, p = {p}, length {length} pass {GHOST_BIT_BUDGET} bits")
     if with_quotients and n % p == 0:
         raise NotCoprime(f"quotients need p = {p} not to divide n = {n}")
     entries = [n]
@@ -254,13 +253,9 @@ def ghost_sequence(
         entries.append(acc)
     quotients = None
     if with_quotients:
-        qs = []
-        for a_i in entries:
-            q, r = divmod(-a_i, n)
-            if r:
-                raise ExactDivisionFailure(f"entry {a_i} is not divisible by n = {n}")
-            qs.append(q)
-        quotients = tuple(qs)
+        if any(a_i % n for a_i in entries):
+            raise ExactDivisionFailure(f"a ghost entry is not divisible by n = {n}")
+        quotients = tuple(-a_i // n for a_i in entries)
     return GhostSequence(p, n, tuple(entries), quotients)
 
 

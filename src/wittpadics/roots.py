@@ -195,10 +195,7 @@ def sqrt_2adic(x: PAdicNumber) -> RootReport:
         return RootReport(False, RootReason.MOD8_FAILURE, None, (), K)
     r = pexp(plog(u).exact_div_p_power(1))
     small = min(r.residue, (-r).residue)
-    pair = (
-        PAdicNumber(2, 0, PAdicInt(2, K - 1, small)),
-        PAdicNumber(2, 0, PAdicInt(2, K - 1, -small)),
-    )
+    pair = tuple(PAdicNumber(2, 0, PAdicInt(2, K - 1, r)) for r in (small, -small))
     return RootReport(True, RootReason.OK, None, pair, K - 1)
 
 

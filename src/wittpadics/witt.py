@@ -1,9 +1,11 @@
 """Truncated Witt vectors over Z/pZ and the residue-ring isomorphism.
 
 A length-k vector of digits in [0, p) corresponds to the residue
-sum(p^i * teichmuller(x_i)) mod p^k.  Ring operations round-trip through
-that bijection; the explicit length-2 factor system is kept alongside as an
-independent formula for cross-checking.
+sum(p^i * teichmuller(x_i)) mod p^k.  Each conversion keeps a digit table
+for the length of the call: a vector has at most min(p, k) distinct digits,
+and each is lifted once, at the precision of its first use (k - i at index
+i, the most it needs).  Ring operations round-trip through the bijection;
+the length-2 factor system is kept as an independent cross-check.
 """
 
 from dataclasses import dataclass
@@ -49,30 +51,40 @@ class WittVector:
         return witt_neg(self)
 
 
-def witt_to_padic(w: WittVector) -> PAdicInt:
-    """Residue mod p^k of a length-k vector: sum of p^i * teichmuller(x_i).
+def _lift(table: dict[int, int], p: int, d: int, k: int) -> int:
+    """Teichmuller lift of digit d from a one-call table that starts as {0: 0}."""
+    if d not in table:
+        table[d] = teichmuller(PAdicInt(p, k, d)).residue
+    return table[d]
 
-    Term i is multiplied by p^i, so digit i is lifted only to k - i digits.
+
+def witt_to_padic(w: WittVector) -> PAdicInt:
+    """Residue mod p^k of a length-k vector: sum of p^i * teichmuller(x_i), reduced once.
+
+    Term i is multiplied by p^i, so digit i needs its lift only to k - i
+    digits.  The lifts are read from index 0 up and summed by Horner's rule.
     """
     p, k = w.p, w.length
-    total = sum(p**i * teichmuller(PAdicInt(p, k - i, d)).residue for i, d in enumerate(w.digits))
+    table, total = {0: 0}, 0
+    for t in reversed([_lift(table, p, d, k - i) for i, d in enumerate(w.digits)]):
+        total = total * p + t
     return PAdicInt(p, k, total)
 
 
 def witt_digits(x: PAdicInt, n: int) -> tuple[int, ...]:
-    """The first n Witt digits of x, peeled off one Teichmuller lift at a time.
+    """The first n Witt digits of x: digit i is r mod p, then r = (r - teichmuller(digit i)) / p.
 
-    They depend only on x mod p^n, so x is truncated to n digits first;
-    n above the precision of x raises PrecisionTooLow.
+    They depend only on x mod p^n, so r starts as x truncated to n digits; n
+    above the precision of x raises PrecisionTooLow.  Digit i needs its lift to
+    n - i digits, the most at its first use; each division by p is exact.
     """
-    cur = x.with_precision(n)
-    digits = []
-    while True:
-        d = cur.residue % cur.p
-        digits.append(d)
-        if cur.precision == 1:
-            return tuple(digits)
-        cur = (cur - teichmuller(PAdicInt(cur.p, cur.precision, d))).exact_div_p_power(1)
+    p, table = x.p, {0: 0}
+    r = x.with_precision(n).residue
+    digits = [r % p]
+    for i in range(1, n):
+        r = (r - _lift(table, p, digits[-1], n - i + 1)) // p
+        digits.append(r % p)
+    return tuple(digits)
 
 
 def padic_to_witt(x: PAdicInt) -> WittVector:
@@ -82,9 +94,6 @@ def padic_to_witt(x: PAdicInt) -> WittVector:
 
 def integer_to_witt(n: int, p: int, length: int) -> WittVector:
     """Witt digits of an integer: those of its residue mod p^length."""
-    check_prime(p)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
     return padic_to_witt(PAdicInt(p, length, n))
 
 

@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: inverses come
 from the extended gcd, Teichmuller lifts from exhaustive search or from the
-p-power map applied K - 1 times, ghost entries from solving the ghost
-identity directly (not the recursion), roots from brute-force scans, the
-length-2 carry from its defining p-term sum, and the analytic maps from
-exact Fraction series.
+p-power map applied K - 1 times, Witt digits from peeling those lifts off one
+digit at a time, ghost entries from solving the ghost identity directly (not
+the recursion), roots from brute-force scans, the length-2 carry from its
+defining p-term sum, and the analytic maps from exact Fraction series.
 """
 
 from fractions import Fraction
@@ -50,6 +50,22 @@ def teichmuller_by_power(p: int, precision: int, a: int) -> int:
     return pow(a, p ** (precision - 1), p**precision)
 
 
+def witt_residue_by_power(p: int, precision: int, digits) -> int:
+    """sum(p^i * teichmuller(d_i)) mod p^K, each lift taken by the power oracle."""
+    return sum(p**i * teichmuller_by_power(p, precision - i, d) for i, d in enumerate(digits)) % p**precision
+
+
+def witt_digits_by_peel(p: int, precision: int, x: int) -> tuple[int, ...]:
+    """Witt digits of x mod p^K: take d = r mod p, then r = (r - teichmuller(d)) / p, one digit less."""
+    digits = []
+    r = x % p**precision
+    for k in range(precision, 0, -1):
+        d = r % p
+        digits.append(d)
+        r = (r - teichmuller_by_power(p, k, d)) % p**k // p
+    return tuple(digits)
+
+
 def phi1_by_sum(p: int, x0: int, y0: int) -> int:
     """The length-2 carry as its defining sum: sum((-1)^i/i x0^i y0^(p-i)) mod p."""
     acc = 0
@@ -57,6 +73,11 @@ def phi1_by_sum(p: int, x0: int, y0: int) -> int:
         term = pow(i, -1, p) * pow(x0, i, p) * pow(y0, p - i, p)
         acc = (acc - term) if i % 2 else (acc + term)
     return acc % p
+
+
+def ghost_value(p: int, entries, j: int) -> int:
+    """The j-th ghost polynomial sum(p^i * a_i^(p^(j-i)), i <= j)."""
+    return sum(p**i * entries[i] ** (p ** (j - i)) for i in range(j + 1))
 
 
 def ghost_entries_by_solving(p: int, n: int, length: int) -> list[int]:

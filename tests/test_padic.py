@@ -1,6 +1,7 @@
 """Residue arithmetic, Teichmuller lifts, Hensel roots and ghost sequences."""
 
 import random
+import time
 
 import pytest
 
@@ -16,13 +17,13 @@ from wittpadics import (
     PAdicInt,
     PAdicNumber,
     ghost_sequence,
-    ghost_value,
     hensel_kth_root,
     kth_power_residue_test,
     padic_valuation,
     teichmuller,
     unit_inverse,
 )
+from wittpadics.padic import GHOST_BIT_BUDGET
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -241,7 +242,7 @@ def test_ghost_entries_match_direct_solving():
             g = ghost_sequence(p, n, length)
             assert list(g.entries) == oracles.ghost_entries_by_solving(p, n, length)
             for j in range(length + 1):
-                assert ghost_value(p, g.entries, j) == n
+                assert oracles.ghost_value(p, g.entries, j) == n
 
 
 def test_ghost_divisibility_and_quotients():
@@ -264,12 +265,27 @@ def test_ghost_cap_and_coprimality():
         ghost_sequence(3, 6, 2)
     g = ghost_sequence(3, 6, 2, with_quotients=False)
     assert g.quotients is None
-    assert ghost_value(3, g.entries, 2) == 6
+    assert oracles.ghost_value(3, g.entries, 2) == 6
+
+
+def test_ghost_bit_budget_refuses_huge_entries_at_once():
+    # length 3 is under the cap, but the last entry would have about 10^7 bits
+    t0 = time.perf_counter()
+    with pytest.raises(LengthLimit):
+        ghost_sequence(101, 1000, 3)
+    assert time.perf_counter() - t0 < 0.1
+    assert 10 * 101**3 > GHOST_BIT_BUDGET
+    g = ghost_sequence(101, 1000, 2)  # about 10^5 bits
+    assert oracles.ghost_value(101, g.entries, 2) == 1000
+    t0 = time.perf_counter()
+    with pytest.raises(LengthLimit):
+        ghost_sequence(3, 1, 10**9, cap=10**9)  # a raised cap does not lift the budget
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_ghost_handles_negative_n():
     g = ghost_sequence(3, -2, 2)
-    assert ghost_value(3, g.entries, 2) == -2
+    assert oracles.ghost_value(3, g.entries, 2) == -2
     assert all(a % 2 == 0 for a in g.entries)
 
 

@@ -1,16 +1,35 @@
-"""Property tests of the Teichmuller lift, plog/pexp and p^k-th roots over random primes below 2^64."""
+"""Property tests of the Teichmuller lift, the Witt-ring isomorphism, plog/pexp and p^k-th roots
+over random primes below 2^64."""
 
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wittpadics import PAdicInt, PAdicNumber, pexp, pk_root, plog, teichmuller
+import oracles
+from wittpadics import (
+    PAdicInt,
+    PAdicNumber,
+    WittVector,
+    factor_system_phi1,
+    padic_to_witt,
+    pexp,
+    pk_root,
+    plog,
+    teichmuller,
+    witt_add,
+    witt_inv,
+    witt_mul,
+    witt_neg,
+    witt_to_padic,
+)
 
 # sympy.prevprime(n) is the largest prime below n, so this covers 2 .. 2^64 - 59.
 primes = st.integers(3, 2**64).map(sympy.prevprime)
 odd_primes = st.integers(4, 2**64).map(sympy.prevprime)
 precisions = st.integers(1, 40)
 residues = st.integers(0, 2**2600)
+# Below p = 8 a long vector repeats its digits; a random large p almost never does.
+witt_primes = st.one_of(st.sampled_from((2, 3, 5, 7)), primes)
 
 
 @settings(deadline=None)
@@ -48,3 +67,38 @@ def test_pk_root_of_a_pk_th_power(p, K, k, a):
     assert report.exists and report.output_precision == K - k
     assert [r.unit for r in report.roots] == [x.with_precision(K - k)]
     assert report.roots[0].valuation == 0
+
+
+def _witt_vectors(p, K):
+    digit = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    return st.lists(digit, min_size=K, max_size=K).map(lambda ds: WittVector(p, tuple(ds)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(witt_primes, st.integers(1, 40), st.sampled_from(("add", "mul", "neg", "inv")), st.data())
+def test_witt_ring_isomorphism(p, K, op, data):
+    x, y = data.draw(_witt_vectors(p, K)), data.draw(_witt_vectors(p, K))
+    m = p**K
+    a = oracles.witt_residue_by_power(p, K, x.digits)
+    b = oracles.witt_residue_by_power(p, K, y.digits)
+    assert witt_to_padic(x).residue == a
+    assert witt_to_padic(y).residue == b
+    if op == "add":
+        got, want = witt_add(x, y), a + b
+    elif op == "mul":
+        got, want = witt_mul(x, y), a * b
+    elif op == "neg":
+        got, want = witt_neg(x), -a
+    else:
+        assume(x.digits[0])
+        got, want = witt_inv(x), oracles.inverse_by_egcd(a, m)
+    digits = oracles.witt_digits_by_peel(p, K, want)
+    assert padic_to_witt(PAdicInt(p, K, want)).digits == digits
+    assert got.digits == digits
+
+
+@settings(deadline=None)
+@given(st.one_of(st.sampled_from((3, 5, 7)), odd_primes), residues, residues)
+def test_length_two_carry_is_phi1(p, x0, y0):
+    total = witt_add(WittVector(p, (x0, 0)), WittVector(p, (y0, 0)))
+    assert total.digits == ((x0 + y0) % p, factor_system_phi1(p, x0, y0))

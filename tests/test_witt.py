@@ -18,6 +18,7 @@ from wittpadics import (
     ghost_sequence,
     integer_to_witt,
     padic_to_witt,
+    witt,
     witt_add,
     witt_digits,
     witt_inv,
@@ -60,6 +61,72 @@ def test_padic_to_witt_examples():
             assert witt_digits(x, n) == digits[:n]
         with pytest.raises(PrecisionTooLow):
             witt_digits(x, K + 1)
+
+
+# -------------------------------------------------------------- digit table
+
+
+def _check_against_oracles(p, digits):
+    K = len(digits)
+    w = WittVector(p, tuple(digits))
+    x = witt_to_padic(w)
+    assert x.residue == oracles.witt_residue_by_power(p, K, digits)
+    assert oracles.witt_digits_by_peel(p, K, x.residue) == w.digits
+    assert padic_to_witt(x) == w
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 101, 1000003))
+def test_table_all_equal_digits(p):
+    for d in {0, 1, 2 % p, p - 1}:
+        for K in (1, 2, 17, 64):
+            _check_against_oracles(p, [d] * K)
+
+
+@pytest.mark.parametrize("p", (2, 3, 11, 101))
+def test_table_first_use_at_a_high_index(p):
+    # The first use of d sits after j zeros and asks for K - j digits; every
+    # later use asks for fewer, so the lift must be taken at the first use.
+    K = 48
+    for j in (1, 5, K // 2, K - 2):
+        for d in {1, p - 1, p // 2 or 1}:
+            _check_against_oracles(p, [0] * j + [d] * (K - j))
+            _check_against_oracles(p, [0] * j + [d, 0] * ((K - j) // 2) + [d] * ((K - j) % 2))
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_table_long_vectors_and_digit_prefixes(p):
+    K = 300
+    rng = random.Random(300 + p)
+    for digits in ([rng.randrange(p) for _ in range(K)], [p - 1] * K, [0] * (K - 1) + [1]):
+        _check_against_oracles(p, digits)
+        x = witt_to_padic(WittVector(p, tuple(digits)))
+        for n in range(1, K + 1):
+            assert witt_digits(x, n) == tuple(digits[:n])
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 101))
+def test_table_lifts_each_distinct_nonzero_digit_once_at_its_first_use(p, monkeypatch):
+    lifts = []
+    lift = witt.teichmuller
+
+    def counted(a):
+        lifts.append((a.residue, a.precision))
+        return lift(a)
+
+    def first_uses(digits, K):
+        return sorted({d: K - digits.index(d) for d in digits if d}.items())
+
+    monkeypatch.setattr(witt, "teichmuller", counted)
+    rng = random.Random(p)
+    for K in (1, 2, 9, 40):
+        digits = tuple(rng.choice((0, 0, 1, p - 1, rng.randrange(p))) for _ in range(K))
+        lifts.clear()
+        x = witt_to_padic(WittVector(p, digits))
+        assert sorted(lifts) == first_uses(digits, K)
+        # the peel needs no lift for its last digit
+        lifts.clear()
+        assert padic_to_witt(x).digits == digits
+        assert sorted(lifts) == first_uses(digits[:-1], K)
 
 
 def test_round_trips():
