@@ -17,7 +17,6 @@ from .errors import (
     LengthLimit,
     MismatchedRing,
     NotAUnit,
-    NotCoprime,
     NotPrime,
     PadicError,
     PrecisionTooLow,

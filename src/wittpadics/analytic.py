@@ -183,16 +183,18 @@ def _check_pk_root(x: PAdicNumber, k: int) -> None:
     """The p^k-th root criterion for nonzero x; raises at the first failure.
 
     A root exists iff p^k divides the valuation and Witt digits 1..k of the
-    unit part are zero.  Only those digits are peeled, so this needs k + 1
-    digits of precision.
+    unit part are zero; at p = 2 digit k + 1 must be zero too, since the
+    2^k-th powers of units are the units = 1 (mod 2^(k+2)).  Only those
+    digits are peeled, so this needs k + 1 digits of precision (k + 2 at p = 2).
     """
     K = x.unit.precision
     if x.valuation % x.p**k != 0:
         raise ValuationCondition(f"valuation {x.valuation} is not divisible by {x.p}^{k}")
-    if K < k + 1:
-        raise PrecisionTooLow(f"need {k + 1} digits to read Witt digits 1..{k}, have {K}")
-    digits = witt_digits(x.unit, k + 1)
-    for i in range(1, k + 1):
+    last = k + (x.p == 2)
+    if K < last + 1:
+        raise PrecisionTooLow(f"need {last + 1} digits to read Witt digits 1..{last}, have {K}")
+    digits = witt_digits(x.unit, last + 1)
+    for i in range(1, last + 1):
         if digits[i]:
             raise RootCondition(f"Witt digit {i} of the unit part is nonzero", digit_index=i)
 
@@ -201,7 +203,8 @@ def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:
     """x**y, with the valuation handled exactly.
 
     Integer exponents reduce to modular powering.  An exponent u/p^k needs
-    the valuation divisible by p^k and the unit's Witt digits 1..k all zero;
+    the valuation divisible by p^k and the unit's Witt digits 1..k all zero
+    (1..k+1 at p = 2);
     the polar argument is then divisible by p^(k+1), and the result is the
     polar form of x scaled by u/p^k: valuation and argument times u/p^k,
     Teichmuller digit to the power u.  It carries K - k digits.

@@ -2,15 +2,13 @@
 
 Exit codes: 0 on success, 1 when the computation reports a domain failure
 (for example the requested root does not exist), 2 on usage errors.
-Precision resolves flag > WITTPADICS_PRECISION env var > config file > 8.
+Precision and output format come from the command-line flags alone.
 """
 
 import argparse
 import json
-import os
 import re
 import sys
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .analytic import ExactExponent, pexp, plog, polar, ppow
@@ -28,10 +26,8 @@ from .roots import (
 from .witt import padic_to_witt
 
 DEFAULT_PRECISION = 8
-ENV_PRECISION = "WITTPADICS_PRECISION"
-DEFAULT_CONFIG = "~/.wittpadics.conf"
 
-# JSON integers above this are emitted as decimal strings.
+# JSON integers at or above this in absolute value are emitted as decimal strings.
 _JSON_INT_LIMIT = 2**53
 
 
@@ -39,31 +35,23 @@ class UsageError(Exception):
     pass
 
 
-def load_config(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    try:
-        text = path.read_text()
-    except OSError:
-        return out
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _encode_int(n: int):
-    return n if abs(n) < _JSON_INT_LIMIT else str(n)
+def _jsonable(v):
+    """v with every integer of absolute value >= 2^53, at any depth, as a decimal string."""
+    if type(v) is int:  # not bool
+        return v if abs(v) < _JSON_INT_LIMIT else str(v)
+    if isinstance(v, dict):
+        return {key: _jsonable(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    return v
 
 
 def _padic_int_json(x: PAdicInt) -> dict:
     return {
         "p": x.p,
         "precision": x.precision,
-        "residue": _encode_int(x.residue),
-        "modulus": _encode_int(x.modulus),
+        "residue": x.residue,
+        "modulus": x.modulus,
     }
 
 
@@ -112,35 +100,6 @@ def parse_exponent(text: str, p: int) -> ExactExponent:
     if d != p**k:
         raise UsageError(f"exponent denominator must be a power of p = {p}")
     return ExactExponent(u, k)
-
-
-def _resolve_precision(args, config: dict[str, str]) -> int:
-    if args.precision is not None:
-        value = args.precision
-    elif os.environ.get(ENV_PRECISION):
-        try:
-            value = int(os.environ[ENV_PRECISION])
-        except ValueError:
-            raise UsageError(f"{ENV_PRECISION} must be an integer") from None
-    elif "precision" in config:
-        try:
-            value = int(config["precision"])
-        except ValueError:
-            raise UsageError("config key 'precision' must be an integer") from None
-    else:
-        value = DEFAULT_PRECISION
-    if value < 1:
-        raise UsageError(f"precision must be >= 1, got {value}")
-    return value
-
-
-def _resolve_output(args, config: dict[str, str]) -> str:
-    if args.output is not None:
-        return args.output
-    mode = config.get("output", "human")
-    if mode not in ("human", "json"):
-        raise UsageError("config key 'output' must be 'human' or 'json'")
-    return mode
 
 
 def _require_p(args) -> int:
@@ -243,7 +202,7 @@ def _flt_witness(args, p: int, precision: int):
         "p": witness.p,
         "x": witness.x,
         "y": witness.y,
-        "sum": _encode_int(witness.sum),
+        "sum": witness.sum,
         "root": _padic_int_json(witness.root),
     }
     return result, [f"x = {witness.x}, y = {witness.y}, sum = {witness.sum}", f"root: {witness.root}"]
@@ -296,9 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, required=False, help="prime p")
-    common.add_argument("--precision", type=int, default=None, help="digits of precision (default 8)")
-    common.add_argument("--output", choices=("human", "json"), default=None, help="output format")
-    common.add_argument("--config", default=None, help=f"config file (default {DEFAULT_CONFIG})")
+    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION, help="digits of precision (default 8)")
+    common.add_argument("--output", choices=("human", "json"), default="human", help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         cmd_parser = sub.add_parser(name, parents=[common], help=command.help)
@@ -327,11 +285,11 @@ def main(argv=None) -> int:
         # Values and residues may run past the interpreter's 4300-digit default.
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(_join_negative_operands(sys.argv[1:] if argv is None else argv))
-    config = load_config(Path(args.config or DEFAULT_CONFIG).expanduser())
     command = COMMANDS[args.command]
+    precision, output = args.precision, args.output
     try:
-        precision = _resolve_precision(args, config)
-        output = _resolve_output(args, config)
+        if precision < 1:
+            raise UsageError(f"precision must be >= 1, got {precision}")
         p = _require_p(args) if command.needs_p else None
         result, lines = command.handler(args, p, precision)
     except (UsageError, ValueError, NotPrime) as exc:
@@ -347,7 +305,7 @@ def main(argv=None) -> int:
         return 1
 
     if output == "json":
-        print(json.dumps({"ok": True, "result": result, "precision": precision}, sort_keys=True))
+        print(json.dumps({"ok": True, "result": _jsonable(result), "precision": precision}, sort_keys=True))
     else:
         for line in lines:
             print(line)

@@ -13,10 +13,6 @@ class NotAUnit(PadicError):
     """Operand is divisible by p where a unit is required."""
 
 
-class NotCoprime(PadicError):
-    """A denominator or quotient target shares a factor with p."""
-
-
 class InvalidDegree(PadicError):
     """Root degree is divisible by p where p must not divide it."""
 

@@ -17,15 +17,14 @@ from .errors import (
     LengthLimit,
     MismatchedRing,
     NotAUnit,
-    NotCoprime,
     PrecisionTooLow,
     WrongPrime,
     ZeroInput,
 )
 from .primes import check_prime
 
-#: Ghost-sequence entries grow like n**(p**k): the default cap bounds k, and a
-#: sequence whose last entry would pass the bit budget, bits(n) * p**k, is refused.
+#: Ghost-sequence entries grow like n**(p**k): the cap bounds k, and a sequence
+#: whose last entry would pass the bit budget, bits(n) * p**k, is refused.
 GHOST_LENGTH_CAP = 8
 GHOST_BIT_BUDGET = 2**20
 
@@ -206,8 +205,8 @@ def hensel_kth_root(a: PAdicInt, k: int) -> tuple[PAdicInt, ...]:
 class GhostSequence:
     """Exact integers a_0..a_k with constant ghost values, plus quotients.
 
-    quotients holds q_i = -a_i / n (exact integers when p does not divide n)
-    and is None when the sequence was built without them.
+    quotients holds q_i = -a_i / n, exact integers when p does not divide n,
+    and is None when p divides n.
     """
 
     p: int
@@ -216,14 +215,7 @@ class GhostSequence:
     quotients: tuple[int, ...] | None
 
 
-def ghost_sequence(
-    p: int,
-    n: int,
-    length: int,
-    *,
-    cap: int = GHOST_LENGTH_CAP,
-    with_quotients: bool = True,
-) -> GhostSequence:
+def ghost_sequence(p: int, n: int, length: int) -> GhostSequence:
     """Entries a_0 = n, a_1, ..., a_length keeping every ghost value equal to n.
 
     Each next entry is sum((a_i^(p^(k-i)) - a_i^(p^(k-i+1))) / p^(k-i+1), i <= k);
@@ -232,13 +224,10 @@ def ghost_sequence(
     check_prime(p)
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    if length > cap:
-        raise LengthLimit(f"ghost length {length} exceeds the cap {cap}")
-    # p**length passes the budget once length reaches the budget's bit length
-    if max(1, abs(n).bit_length()) * p ** min(length, GHOST_BIT_BUDGET.bit_length()) > GHOST_BIT_BUDGET:
+    if length > GHOST_LENGTH_CAP:
+        raise LengthLimit(f"ghost length {length} exceeds the cap {GHOST_LENGTH_CAP}")
+    if max(1, abs(n).bit_length()) * p**length > GHOST_BIT_BUDGET:
         raise LengthLimit(f"ghost entries for n = {n}, p = {p}, length {length} pass {GHOST_BIT_BUDGET} bits")
-    if with_quotients and n % p == 0:
-        raise NotCoprime(f"quotients need p = {p} not to divide n = {n}")
     entries = [n]
     for k in range(length):
         acc = 0
@@ -252,7 +241,7 @@ def ghost_sequence(
             acc += q
         entries.append(acc)
     quotients = None
-    if with_quotients:
+    if n % p:
         if any(a_i % n for a_i in entries):
             raise ExactDivisionFailure(f"a ghost entry is not divisible by n = {n}")
         quotients = tuple(-a_i // n for a_i in entries)
@@ -304,12 +293,6 @@ class PAdicNumber:
     @property
     def is_zero(self) -> bool:
         return self.unit is None
-
-    @property
-    def unit_precision(self) -> int:
-        if self.unit is None:
-            raise ZeroInput("the exact zero carries no precision")
-        return self.unit.precision
 
     def to_padic_int(self) -> PAdicInt:
         """The value as a plain residue; needs valuation >= 0."""

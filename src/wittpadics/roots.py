@@ -45,7 +45,8 @@ class RootReport:
 
     exists iff roots is non-empty; every root raised to the degree
     reproduces the input at its full input precision, while the roots
-    themselves are determined to output_precision digits.
+    themselves are determined to output_precision digits.  A failed report
+    carries the input precision.
     """
 
     exists: bool
@@ -219,21 +220,20 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
         return RootReport(True, RootReason.OK, None, (x,), K)
     v = padic_valuation(m, p)
     m_prime = m // p**v
-    out_prec = K - v
     if x.valuation % m != 0:
-        return RootReport(False, RootReason.VALUATION_NOT_DIVISIBLE, None, (), max(out_prec, 1))
+        return RootReport(False, RootReason.VALUATION_NOT_DIVISIBLE, None, (), K)
     unit = PAdicNumber(p, 0, x.unit)
     if v > 0:
         check = pk_root_exists(unit, v)
         if not check.ok:
-            return RootReport(False, check.reason, check.digit_index, (), out_prec)
+            return RootReport(False, check.reason, check.digit_index, (), K)
     # The p^v-th root is x.unit mod p, so this is the verdict Hensel would give.
     if not kth_power_residue_test(p, x.unit.residue, m_prime):
-        return RootReport(False, RootReason.NOT_KTH_RESIDUE, None, (), out_prec)
+        return RootReport(False, RootReason.NOT_KTH_RESIDUE, None, (), K)
     root = ppow(unit, ExactExponent(1, v)).unit
     roots = sorted(hensel_kth_root(root, m_prime) if m_prime > 1 else (root,), key=lambda r: r.residue)
     w = x.valuation // m
-    return RootReport(True, RootReason.OK, None, tuple(PAdicNumber(p, w, r) for r in roots), out_prec)
+    return RootReport(True, RootReason.OK, None, tuple(PAdicNumber(p, w, r) for r in roots), K - v)
 
 
 def wieferich_search(base: int, limit: int) -> list[int]:

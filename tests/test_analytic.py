@@ -20,6 +20,7 @@ from wittpadics import (
     polar,
     ppow,
     recompose,
+    sqrt_2adic,
     teichmuller,
     witt_to_padic,
 )
@@ -229,6 +230,23 @@ def test_ppow_fractional_inverts_powering():
             power = ppow(y, ExactExponent(u, k))
             assert power.valuation == 0
             assert power.unit.with_precision(prec - k) == x.pow_int(u).unit.with_precision(prec - k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ppow_two_adic_root_exists_exactly_when_unit_is_one_mod_2_to_k_plus_2(k):
+    # The 2^k-th powers of 2-adic units are the units = 1 (mod 2^(k+2)).
+    K = 12
+    for u in range(1, 2**10, 2):
+        x = PAdicNumber(2, 0, PAdicInt(2, K, u))
+        if u % 2 ** (k + 2) != 1:
+            with pytest.raises(RootCondition):
+                ppow(x, ExactExponent(1, k))
+            continue
+        r = ppow(x, ExactExponent(1, k))
+        assert (r.valuation, r.unit.precision) == (0, K - k)
+        assert pow(r.unit.residue, 2**k, 2**K) == u
+        if k == 1:
+            assert r in sqrt_2adic(x).roots
 
 
 def test_power_digit_pattern():

@@ -1,19 +1,24 @@
-"""Command-line behavior: golden outputs, JSON schema, config, exit codes."""
+"""Command-line behavior: golden outputs, JSON schema, precision, exit codes."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from wittpadics import PAdicInt, integer_to_witt, teichmuller
-from wittpadics.cli import ENV_PRECISION, main
-
-
-@pytest.fixture(autouse=True)
-def isolated_environment(tmp_path, monkeypatch):
-    # keep user-level config and env overrides out of the tests
-    monkeypatch.setenv("HOME", str(tmp_path))
-    monkeypatch.delenv(ENV_PRECISION, raising=False)
+from wittpadics import (
+    ExactExponent,
+    PAdicInt,
+    PAdicNumber,
+    fermat_quotient,
+    integer_to_witt,
+    padic_to_witt,
+    pexp,
+    plog,
+    polar,
+    ppow,
+    teichmuller,
+)
+from wittpadics.cli import main
 
 
 def run(capsys, argv):
@@ -139,6 +144,62 @@ def test_json_large_integers_become_strings(capsys):
     assert int(payload["result"]["modulus"]) == 13**16
 
 
+def _residue_json(x: PAdicInt) -> dict:
+    return {"p": x.p, "precision": x.precision, "residue": x.residue, "modulus": x.modulus}
+
+
+def _large_p_cases(p: int, K: int):
+    """(argv, the library's result) for each command, with integers left raw."""
+    unit = PAdicInt(p, K, -5)
+    number = PAdicNumber.from_integer(-5, p, K)
+    cube = ppow(number, ExactExponent(3))
+    form = polar(number)
+    return [
+        (["convert", "--value", "-5", "--to", "padic"], _residue_json(unit)),
+        (["convert", "--value", "-5", "--to", "witt"], {"witt": padic_to_witt(unit).to_json_dict()}),
+        (["teichmuller", "--value", "-5"], _residue_json(teichmuller(unit))),
+        (["log", "--value", str(p + 1)], _residue_json(plog(PAdicInt(p, K, p + 1)))),
+        (["exp", "--value", str(p)], _residue_json(pexp(PAdicInt(p, K, p)))),
+        (
+            ["polar", "--value", "-5"],
+            {"valuation": 0, "teich_digit": p - 5, "argument": _residue_json(form.argument)},
+        ),
+        (
+            ["pow", "--value", "-5", "--exponent", "3"],
+            {"p": p, "zero": False, "valuation": 0, "unit": _residue_json(cube.unit)},
+        ),
+        (["fermat-quotient", "--value", "-5"], _residue_json(fermat_quotient(number))),
+    ]
+
+
+def _assert_json_encodes(got, want):
+    # Every integer below 2^53 in absolute value stays a JSON integer; every
+    # other one is the decimal string of the library's value.
+    if type(want) is int:
+        assert got == (want if abs(want) < 2**53 else str(want))
+        assert type(got) is (int if abs(want) < 2**53 else str)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_json_encodes(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_json_encodes(g, w)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59], ids=["2^61-1", "2^64-59"])
+def test_json_integers_past_2_53_are_strings_in_every_field(capsys, p):
+    for argv, want in _large_p_cases(p, 3):
+        code, out, err = run(capsys, argv + ["--p", str(p), "--precision", "3", "--output", "json"])
+        assert (code, err) == (0, ""), argv
+        payload = json.loads(out)
+        assert payload["ok"] is True and payload["precision"] == 3
+        _assert_json_encodes(payload["result"], want)
+
+
 @pytest.mark.parametrize("output", ["human", "json"])
 @pytest.mark.parametrize(
     "value_text, value, precision",
@@ -241,29 +302,10 @@ def test_default_precision_is_eight(capsys):
     assert (code, out) == (0, "1 (mod 5^8)\n")
 
 
-def test_config_file_sets_precision(capsys, tmp_path):
-    conf = tmp_path / "wp.conf"
-    conf.write_text("# settings\nprecision = 3\n")
-    code, out, _ = run(capsys, ["teichmuller", "--p", "5", "--value", "1", "--config", str(conf)])
-    assert (code, out) == (0, "1 (mod 5^3)\n")
-
-
-def test_env_overrides_config_and_flag_overrides_env(capsys, tmp_path, monkeypatch):
-    conf = tmp_path / "wp.conf"
-    conf.write_text("precision = 3\n")
-    monkeypatch.setenv(ENV_PRECISION, "4")
-    code, out, _ = run(capsys, ["teichmuller", "--p", "5", "--value", "1", "--config", str(conf)])
-    assert (code, out) == (0, "1 (mod 5^4)\n")
-    code, out, _ = run(
-        capsys,
-        ["teichmuller", "--p", "5", "--value", "1", "--config", str(conf), "--precision", "2"],
-    )
-    assert (code, out) == (0, "1 (mod 5^2)\n")
-
-
-def test_home_config_is_used_by_default(capsys, tmp_path):
+def test_precision_and_output_come_from_flags_alone(capsys, tmp_path, monkeypatch):
+    # Neither the environment nor a file in HOME changes the precision or the output format.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("WITTPADICS_PRECISION", "3")
     (tmp_path / ".wittpadics.conf").write_text("precision = 2\noutput = json\n")
     code, out, _ = run(capsys, ["teichmuller", "--p", "5", "--value", "1"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["precision"] == 2
+    assert (code, out) == (0, "1 (mod 5^8)\n")

@@ -12,7 +12,6 @@ from wittpadics import (
     LengthLimit,
     MismatchedRing,
     NotAUnit,
-    NotCoprime,
     NotPrime,
     PAdicInt,
     PAdicNumber,
@@ -23,7 +22,7 @@ from wittpadics import (
     teichmuller,
     unit_inverse,
 )
-from wittpadics.padic import GHOST_BIT_BUDGET
+from wittpadics.padic import GHOST_BIT_BUDGET, GHOST_LENGTH_CAP
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -260,12 +259,21 @@ def test_ghost_divisibility_and_quotients():
 def test_ghost_cap_and_coprimality():
     with pytest.raises(LengthLimit):
         ghost_sequence(3, 2, 9)
-    ghost_sequence(3, 2, 9, cap=9)  # the cap is configurable
-    with pytest.raises(NotCoprime):
-        ghost_sequence(3, 6, 2)
-    g = ghost_sequence(3, 6, 2, with_quotients=False)
+    assert GHOST_LENGTH_CAP == 8
+    ghost_sequence(3, 2, 8)
+    g = ghost_sequence(3, 6, 2)  # p divides n: no quotients
     assert g.quotients is None
     assert oracles.ghost_value(3, g.entries, 2) == 6
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_ghost_quotients_are_none_exactly_when_p_divides_n(p):
+    for n in (p, -p, 2 * p, p * p, 0):
+        g = ghost_sequence(p, n, 2)
+        assert g.quotients is None
+        assert all(oracles.ghost_value(p, g.entries, j) == n for j in range(3))
+    for n in (1, -1, p + 1, 2 * p - 1):
+        assert ghost_sequence(p, n, 2).quotients is not None
 
 
 def test_ghost_bit_budget_refuses_huge_entries_at_once():
@@ -279,7 +287,7 @@ def test_ghost_bit_budget_refuses_huge_entries_at_once():
     assert oracles.ghost_value(101, g.entries, 2) == 1000
     t0 = time.perf_counter()
     with pytest.raises(LengthLimit):
-        ghost_sequence(3, 1, 10**9, cap=10**9)  # a raised cap does not lift the budget
+        ghost_sequence(7, 1, GHOST_LENGTH_CAP)  # at the cap, 7^8 bits still pass the budget
     assert time.perf_counter() - t0 < 0.1
 
 

@@ -26,6 +26,7 @@ from wittpadics import (
     ppow,
     root_quotient_congruence_check,
     sqrt_2adic,
+    teichmuller,
     wieferich_search,
     witt_to_padic,
 )
@@ -357,6 +358,22 @@ def test_general_root_valuation_handling():
 def test_general_root_not_kth_residue():
     report = general_root(PAdicNumber.from_integer(3, 7, 3), 2)
     assert (report.exists, report.reason) == (False, RootReason.NOT_KTH_RESIDUE)
+
+
+@pytest.mark.parametrize("K", [3, 4, 7])
+def test_failed_reports_carry_the_input_precision(K):
+    p = 5
+    tau2 = teichmuller(PAdicInt(p, K, 2)).residue  # Witt digits 1.. are zero; 2 is no square mod 5
+    failures = [
+        (pk_root(PAdicNumber.from_integer(2, p, K), 1), RootReason.WITT_DIGIT_NONZERO),
+        (sqrt_2adic(PAdicNumber.from_integer(3, 2, K)), RootReason.MOD8_FAILURE),
+        (general_root(PAdicNumber(p, 1, PAdicInt(p, K, 1)), 5), RootReason.VALUATION_NOT_DIVISIBLE),
+        (general_root(PAdicNumber.from_integer(2, p, K), 5), RootReason.WITT_DIGIT_NONZERO),
+        (general_root(PAdicNumber(p, 0, PAdicInt(p, K, tau2)), 10), RootReason.NOT_KTH_RESIDUE),
+    ]
+    for report, reason in failures:
+        assert (report.exists, report.reason, report.roots) == (False, reason, ())
+        assert report.output_precision == K
 
 
 def test_general_root_matches_brute_force():
