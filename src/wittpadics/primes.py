@@ -1,7 +1,9 @@
 """Primality checking and prime enumeration."""
 
 import itertools
+from collections.abc import Iterator
 from functools import lru_cache
+from math import isqrt
 
 from .errors import NotPrime
 
@@ -48,16 +50,38 @@ def check_prime(p: int) -> None:
         raise NotPrime(f"p = {p} is not prime")
 
 
+#: Odd numbers per segment of `odd_prime_segments`.
+SEGMENT = 2**15
+
+
+def odd_prime_segments(limit: int) -> Iterator[list[int]]:
+    """The odd primes <= limit, ascending, one list per segment of SEGMENT odd numbers.
+
+    A sieve of Eratosthenes in which flags[j] stands for 2(start + j) + 1.  Only
+    the primes up to isqrt(limit) live across segments, so memory is
+    O(sqrt(limit) + SEGMENT).
+    """
+    base = primes_up_to(isqrt(limit))[1:]
+    total = (limit + 1) // 2
+    for start in range(0, total, SEGMENT):
+        n = min(SEGMENT, total - start)
+        flags = bytearray([1]) * n
+        for q in base:
+            j = q * q // 2
+            if j >= start + n:
+                break
+            if j < start:
+                # The odd multiples of q sit at the indices j = q // 2 mod q.
+                j += (start - j + q - 1) // q * q
+            j -= start
+            flags[j::q] = bytes((n - 1 - j) // q + 1)
+        if start == 0:
+            flags[0] = 0
+        yield list(itertools.compress(range(2 * start + 1, 2 * (start + n), 2), flags))
+
+
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit by a sieve of Eratosthenes in which flags[j] stands for 2j + 1."""
+    """All primes <= limit: 2, then the odd primes of `odd_prime_segments`."""
     if limit < 2:
         return []
-    n = (limit + 1) // 2
-    flags = bytearray([1]) * n
-    flags[0] = 0
-    i = 3
-    while i * i <= limit:
-        if flags[i // 2]:
-            flags[i * i // 2 :: i] = bytearray(len(range(i * i // 2, n, i)))
-        i += 2
-    return [2, *itertools.compress(range(1, limit + 1, 2), flags)]
+    return [2, *itertools.chain.from_iterable(odd_prime_segments(limit))]

@@ -6,7 +6,9 @@ the number-theoretic searches built on them.
 """
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import prod
 
 from .analytic import ExactExponent, _check_pk_root, pexp, plog, ppow
 from .errors import (
@@ -18,7 +20,7 @@ from .errors import (
     ZeroInput,
 )
 from .padic import PAdicInt, PAdicNumber, hensel_kth_root, kth_power_residue_test, padic_valuation
-from .primes import check_prime, primes_up_to
+from .primes import check_prime, odd_prime_segments
 from .witt import factor_system_phi1, witt_digits
 
 
@@ -236,18 +238,56 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
     return RootReport(True, RootReason.OK, None, tuple(PAdicNumber(p, w, r) for r in roots), K - v)
 
 
+#: Largest limit `wieferich_search` accepts.  Its sieve keeps the primes up to
+#: isqrt(limit) between segments: 82025 of them, about 3 MB, at 2^40.
+WIEFERICH_LIMIT = 2**40
+# Below this, p^2 fits one 30-bit digit of a Python int and one pow per prime
+# is faster than a shared one.
+_SHARED_POW_FROM = 2**15
+_BLOCK = 8
+
+
 def wieferich_search(base: int, limit: int) -> list[int]:
-    """Odd primes p <= limit, coprime to base, with base^(p-1) = 1 mod p^2."""
+    """Odd primes p <= limit, coprime to base, with base^(p-1) = 1 mod p^2.
+
+    (Z/p^2)^x is cyclic, so base^(p-1) = 1 mod p^2 exactly when
+    x = base^((p-1)/2) mod p^2 is 1 or p^2 - 1; when p | base, x = 0 mod p.
+    Primes below 2^15 take one pow each.  Above, each block of 8 consecutive
+    primes p_1 < ... < p_8 shares a = base^((p_1-1)/2) mod p_1^2...p_8^2, and
+    p_j finishes with a * base^((p_j-p_1)/2) mod p_j^2.  The primes stream from
+    `odd_prime_segments`, so memory stays O(sqrt(limit)); a limit above
+    WIEFERICH_LIMIT raises ValueError.
+    """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
+    if limit > WIEFERICH_LIMIT:
+        raise ValueError(f"limit must be <= 2^40, got {limit}")
     hits = []
-    for p in primes_up_to(limit):
-        if p == 2 or base % p == 0:
-            continue
-        if pow(base, p - 1, p * p) == 1:
-            hits.append(p)
+    # base^h for the offsets h inside a block.  Once base needs more than one
+    # 30-bit digit, multiplying by base^h costs more than pow(base, h, p^2).
+    powers = [1] if base < 2**30 else None
+    for primes in odd_prime_segments(limit):
+        k = bisect_left(primes, _SHARED_POW_FROM)
+        for p in primes[:k]:
+            m = p * p
+            x = pow(base, p >> 1, m)
+            if x == 1 or x == m - 1:
+                hits.append(p)
+        for k in range(k, len(primes), _BLOCK):
+            block = primes[k : k + _BLOCK]
+            p1 = block[0]
+            squares = [p * p for p in block]
+            a = pow(base, p1 >> 1, prod(squares))
+            if powers:
+                while len(powers) <= (block[-1] - p1) >> 1:
+                    powers.append(powers[-1] * base)
+            for p, m in zip(block, squares):
+                h = (p - p1) >> 1
+                x = a * (powers[h] if powers else pow(base, h, m)) % m
+                if x == 1 or x == m - 1:
+                    hits.append(p)
     return hits
 
 

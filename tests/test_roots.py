@@ -1,11 +1,17 @@
 """Root criteria and constructions, Fermat quotients, searches."""
 
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
 
 import oracles
+import wittpadics
 from wittpadics import (
     ExactExponent,
     NotAUnit,
@@ -30,7 +36,7 @@ from wittpadics import (
     wieferich_search,
     witt_to_padic,
 )
-from wittpadics.roots import _k1_cross_check
+from wittpadics.roots import WIEFERICH_LIMIT, _k1_cross_check
 
 
 def unit(p, prec, r):
@@ -436,11 +442,95 @@ def test_wieferich_matches_direct_scan():
         assert wieferich_search(base, 500) == expected
 
 
+def _wieferich_by_scan(base, limit):
+    return [p for p in sympy.primerange(3, limit + 1) if base % p and pow(base, p - 1, p * p) == 1]
+
+
+# Small and composite bases, bases with p | base and p^2 | base (30030, 1093^2),
+# and bases past one 30-bit digit, where a block finishes with pow instead of a table.
+WIEFERICH_BASES = [2, 3, 5, 6, 7, 10, 30030, 1093**2, 2**64 + 1, 10**99 + 7]
+# Around 2^15, where primes start sharing one pow per block, and two apart on
+# either side of the first two sieve segment edges, 2^16 and 2^17.
+WIEFERICH_EDGE_LIMITS = [32749, 32768, 32771, *range(2**16 - 2, 2**16 + 3), *range(2**17 - 2, 2**17 + 3)]
+
+
+@pytest.mark.parametrize("base", WIEFERICH_BASES)
+def test_wieferich_matches_direct_scan_at_small_limits_and_segment_edges(base):
+    limits = [*range(3, 401), *WIEFERICH_EDGE_LIMITS]
+    expected = _wieferich_by_scan(base, max(limits))
+    for limit in limits:
+        assert wieferich_search(base, limit) == [p for p in expected if p <= limit], limit
+
+
+@pytest.mark.parametrize(
+    "base, limit, hits",
+    [
+        (2, 2 * 10**6, [1093, 3511]),
+        (3, 11 * 10**5, [11, 1006003]),
+        (5, 10**5, [20771, 40487]),
+        (7, 5 * 10**5, [5, 491531]),
+        (10, 10**5, [3, 487]),
+    ],
+)
+def test_wieferich_known_hits(base, limit, hits):
+    assert wieferich_search(base, limit) == hits
+
+
+# The first nine primes past 2^15 and past 2^16: every position in a block of 8,
+# on both sides of the first segment edge.
+PLANTED = [p for start in (2**15, 2**16) for p in list(sympy.primerange(start, start + 200))[:9]]
+
+
+@pytest.mark.parametrize("p", PLANTED)
+def test_wieferich_finds_a_planted_hit_at_each_block_position(p):
+    # t^p mod p^2 is a hit at p, with base^((p-1)/2) = +1 or -1 mod p^2 as t is
+    # a square mod p or not; take a base below 2^30 of each kind.
+    bases = {}
+    for t in range(2, 1000):
+        base = pow(t, p, p * p)
+        if 2 <= base < 2**30:
+            bases.setdefault(pow(t, (p - 1) // 2, p), base)
+    assert len(bases) == 2
+    for base in bases.values():
+        expected = _wieferich_by_scan(base, p + 100)
+        assert p in expected
+        assert wieferich_search(base, p + 100) == expected
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_wieferich_finds_planted_hits_for_a_wide_base(sign):
+    # base = +-1 mod p^2 at every planted p, so each is a hit, and base^((p-1)/2)
+    # is -1 mod p^2 at p = 3 mod 4 when sign is -1.
+    base = math.prod(p * p for p in PLANTED) + sign
+    hits = wieferich_search(base, 2**17)
+    assert set(PLANTED) <= set(hits)
+    assert hits == _wieferich_by_scan(base, 2**17)
+
+
 def test_wieferich_preconditions():
     with pytest.raises(ValueError):
         wieferich_search(1, 100)
     with pytest.raises(ValueError):
         wieferich_search(2, 2)
+    for limit in (WIEFERICH_LIMIT + 1, 10**13):
+        with pytest.raises(ValueError, match="limit must be <= 2"):
+            wieferich_search(2, limit)
+
+
+def test_wieferich_search_memory_does_not_grow_with_the_limit():
+    # ru_maxrss is in KiB on Linux.  A list of the 283146 primes below 4*10^6
+    # alone would take about 10 MB.
+    code = (
+        "import resource, wittpadics\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert wittpadics.wieferich_search(2, 4 * 10**6) == [1093, 3511]\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    package_root = str(Path(wittpadics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 4 * 1024
 
 
 # ------------------------------------------------------------- local witness
