@@ -261,9 +261,9 @@ def test_usage_errors_exit_two(capsys):
     [
         (["wieferich", "--base", "1", "--limit", "100"], "base must be >= 2, got 1"),
         (["wieferich", "--base", "2", "--limit", "2"], "limit must be >= 3, got 2"),
-        (["wieferich", "--base", "2", "--limit", str(10**13)], f"limit must be <= 2^40, got {10**13}"),
         (["root", "--p", "5", "--degree", "0", "--value", "2"], "degree must be >= 1, got 0"),
         (["root", "--p", "5", "--degree", "-5", "--value", "2"], "degree must be >= 1, got -5"),
+        (["wieferich", "--base", "2", "--limit", str(10**13)], f"limit must be <= 2^40, got {10**13}"),
     ],
 )
 @pytest.mark.parametrize("output", ["human", "json"])
