@@ -254,20 +254,17 @@ def wieferich_search(base: int, limit: int) -> list[int]:
     x = base^((p-1)/2) mod p^2 is 1 or p^2 - 1; when p | base, x = 0 mod p.
     Primes below 2^15 take one pow each.  Above, each block of 8 consecutive
     primes p_1 < ... < p_8 shares a = base^((p_1-1)/2) mod p_1^2...p_8^2, and
-    p_j finishes with a * base^((p_j-p_1)/2) mod p_j^2.  The primes stream from
-    `odd_prime_segments`, so memory stays O(sqrt(limit)); a limit above
-    WIEFERICH_LIMIT raises ValueError.
+    p_j finishes with a * base^((p_j-p_1)/2) mod p_j^2, a pow with a short
+    exponent.  The primes stream from `odd_prime_segments`, so memory stays
+    O(sqrt(limit)); a limit above WIEFERICH_LIMIT raises ValueError.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     if limit > WIEFERICH_LIMIT:
-        raise ValueError(f"limit must be <= 2^40, got {limit}")
+        raise ValueError(f"limit must be <= 2^{WIEFERICH_LIMIT.bit_length() - 1}, got {limit}")
     hits = []
-    # base^h for the offsets h inside a block.  Once base needs more than one
-    # 30-bit digit, multiplying by base^h costs more than pow(base, h, p^2).
-    powers = [1] if base < 2**30 else None
     for primes in odd_prime_segments(limit):
         k = bisect_left(primes, _SHARED_POW_FROM)
         for p in primes[:k]:
@@ -280,12 +277,8 @@ def wieferich_search(base: int, limit: int) -> list[int]:
             p1 = block[0]
             squares = [p * p for p in block]
             a = pow(base, p1 >> 1, prod(squares))
-            if powers:
-                while len(powers) <= (block[-1] - p1) >> 1:
-                    powers.append(powers[-1] * base)
             for p, m in zip(block, squares):
-                h = (p - p1) >> 1
-                x = a * (powers[h] if powers else pow(base, h, m)) % m
+                x = a * pow(base, (p - p1) >> 1, m) % m
                 if x == 1 or x == m - 1:
                     hits.append(p)
     return hits
