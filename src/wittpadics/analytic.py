@@ -7,8 +7,6 @@ j!) is exact: the p-part of the divisor is cancelled by integer division of
 the power of t, the unit part by one modular inverse at the end of the sum.
 """
 
-from dataclasses import dataclass
-
 from .errors import (
     DomainError,
     PrecisionTooLow,
@@ -16,7 +14,7 @@ from .errors import (
     ValuationCondition,
     ZeroInput,
 )
-from .padic import PAdicInt, PAdicNumber, padic_valuation, teichmuller, unit_inverse
+from .padic import PAdicInt, PAdicNumber, Record, _setattr, padic_valuation, teichmuller, unit_inverse
 from .witt import witt_digits
 
 
@@ -117,14 +115,16 @@ def pexp(theta: PAdicInt) -> PAdicInt:
     return PAdicInt(p, K, total * pow(fact_unit, -1, m))
 
 
-@dataclass(frozen=True, slots=True)
-class PolarForm:
+class PolarForm(Record):
     """Factorization p^valuation * teichmuller(teich_digit) * exp(argument)."""
 
-    p: int
-    valuation: int
-    teich_digit: int
-    argument: PAdicInt
+    __slots__ = ("p", "valuation", "teich_digit", "argument")
+
+    def __init__(self, p: int, valuation: int, teich_digit: int, argument: PAdicInt):
+        _setattr(self, "p", p)
+        _setattr(self, "valuation", valuation)
+        _setattr(self, "teich_digit", teich_digit)
+        _setattr(self, "argument", argument)
 
 
 def polar(x: PAdicNumber) -> PolarForm:
@@ -157,16 +157,16 @@ def de_moivre_check(x: PAdicNumber, y: PAdicNumber) -> bool:
     return fxy.argument.with_precision(k) == s.with_precision(k)
 
 
-@dataclass(frozen=True, slots=True)
-class ExactExponent:
+class ExactExponent(Record):
     """Exponent u / p^k; denominator_power 0 means a plain integer."""
 
-    numerator: int
-    denominator_power: int = 0
+    __slots__ = ("numerator", "denominator_power")
 
-    def __post_init__(self):
-        if self.denominator_power < 0:
+    def __init__(self, numerator: int, denominator_power: int = 0):
+        if denominator_power < 0:
             raise ValueError("denominator power must be >= 0")
+        _setattr(self, "numerator", numerator)
+        _setattr(self, "denominator_power", denominator_power)
 
     def normalized(self, p: int) -> "ExactExponent":
         """Cancel powers of p between numerator and denominator."""

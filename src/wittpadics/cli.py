@@ -9,11 +9,10 @@ import argparse
 import json
 import re
 import sys
-from typing import Callable, NamedTuple
 
 from .analytic import ExactExponent, pexp, plog, polar, ppow
 from .errors import NotPrime, PadicError
-from .padic import PAdicInt, PAdicNumber, padic_valuation, teichmuller
+from .padic import PAdicInt, PAdicNumber, Record, _setattr, padic_valuation, teichmuller
 from .primes import check_prime
 from .roots import (
     RootReason,
@@ -208,13 +207,19 @@ def _flt_witness(args, p: int, precision: int):
     return result, [f"x = {witness.x}, y = {witness.y}, sum = {witness.sum}", f"root: {witness.root}"]
 
 
-class Command(NamedTuple):
-    """One subcommand: its help text, extra arguments, handler, and whether it needs --p."""
+class Command(Record):
+    """One subcommand: its help text, extra arguments, handler, and whether it needs --p.
 
-    help: str
-    arguments: tuple  # (flag, add_argument keywords) pairs
-    handler: Callable
-    needs_p: bool = True
+    arguments holds (flag, add_argument keywords) pairs.
+    """
+
+    __slots__ = ("help", "arguments", "handler", "needs_p")
+
+    def __init__(self, help: str, arguments: tuple, handler, needs_p: bool = True):
+        _setattr(self, "help", help)
+        _setattr(self, "arguments", arguments)
+        _setattr(self, "handler", handler)
+        _setattr(self, "needs_p", needs_p)
 
 
 _VALUE = ("--value", {"required": True, "help": "integer, or rational m/n where accepted"})

@@ -8,8 +8,8 @@ is a pure function; binary operations carry the smaller of the two operand
 precisions, and exact division by p^j costs j digits.
 """
 
-from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 
 from .errors import (
     ExactDivisionFailure,
@@ -41,19 +41,63 @@ def padic_valuation(n: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True, slots=True)
-class PAdicInt:
+# Record refuses assignment, so constructors set fields through object.__setattr__,
+# bound once here so that each field costs one global lookup.
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass names its fields, at least two, in __slots__ and sets them in
+    its own __init__ through _setattr.  An instance equals only an
+    instance of the same class with equal fields, and hashes and prints by
+    its fields in slot order.  Assignment and deletion raise AttributeError;
+    __reduce__ rebuilds an instance through __init__, so pickle and copy
+    still work.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+
+class PAdicInt(Record):
     """Residue mod p**precision; the canonical representative is stored."""
 
-    p: int
-    precision: int
-    residue: int
+    __slots__ = ("p", "precision", "residue")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.precision < 1:
-            raise ValueError(f"precision must be >= 1, got {self.precision}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+    def __init__(self, p: int, precision: int, residue: int):
+        check_prime(p)
+        if precision < 1:
+            raise ValueError(f"precision must be >= 1, got {precision}")
+        _setattr(self, "p", p)
+        _setattr(self, "precision", precision)
+        _setattr(self, "residue", residue % p**precision)
 
     @property
     def modulus(self) -> int:
@@ -201,18 +245,20 @@ def hensel_kth_root(a: PAdicInt, k: int) -> tuple[PAdicInt, ...]:
     return tuple(PAdicInt(p, K, _newton_lift_root(r, k, a.residue, p, K)) for r in base)
 
 
-@dataclass(frozen=True, slots=True)
-class GhostSequence:
+class GhostSequence(Record):
     """Exact integers a_0..a_k with constant ghost values, plus quotients.
 
     quotients holds q_i = -a_i / n, exact integers when p does not divide n,
     and is None when p divides n.
     """
 
-    p: int
-    n: int
-    entries: tuple[int, ...]
-    quotients: tuple[int, ...] | None
+    __slots__ = ("p", "n", "entries", "quotients")
+
+    def __init__(self, p: int, n: int, entries: tuple[int, ...], quotients: tuple[int, ...] | None):
+        _setattr(self, "p", p)
+        _setattr(self, "n", n)
+        _setattr(self, "entries", entries)
+        _setattr(self, "quotients", quotients)
 
 
 def ghost_sequence(p: int, n: int, length: int) -> GhostSequence:
@@ -248,24 +294,24 @@ def ghost_sequence(p: int, n: int, length: int) -> GhostSequence:
     return GhostSequence(p, n, tuple(entries), quotients)
 
 
-@dataclass(frozen=True, slots=True)
-class PAdicNumber:
+class PAdicNumber(Record):
     """p^valuation times a unit residue, or the exact zero (unit is None)."""
 
-    p: int
-    valuation: int
-    unit: PAdicInt | None
+    __slots__ = ("p", "valuation", "unit")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.unit is None:
-            if self.valuation != 0:
+    def __init__(self, p: int, valuation: int, unit: PAdicInt | None):
+        check_prime(p)
+        if unit is None:
+            if valuation != 0:
                 raise ValueError("the exact zero must store valuation 0")
         else:
-            if self.unit.p != self.p:
-                raise MismatchedRing(f"unit is over p={self.unit.p}, expected {self.p}")
-            if not self.unit.is_unit:
-                raise NotAUnit(f"{self.unit.residue} is divisible by {self.p}")
+            if unit.p != p:
+                raise MismatchedRing(f"unit is over p={unit.p}, expected {p}")
+            if not unit.is_unit:
+                raise NotAUnit(f"{unit.residue} is divisible by {p}")
+        _setattr(self, "p", p)
+        _setattr(self, "valuation", valuation)
+        _setattr(self, "unit", unit)
 
     @classmethod
     def zero(cls, p: int) -> "PAdicNumber":

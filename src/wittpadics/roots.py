@@ -7,7 +7,6 @@ the number-theoretic searches built on them.
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import prod
 
 from .analytic import ExactExponent, _check_pk_root, pexp, plog, ppow
@@ -19,7 +18,7 @@ from .errors import (
     WrongPrime,
     ZeroInput,
 )
-from .padic import PAdicInt, PAdicNumber, hensel_kth_root, kth_power_residue_test, padic_valuation
+from .padic import PAdicInt, PAdicNumber, Record, _setattr, hensel_kth_root, kth_power_residue_test, padic_valuation
 from .primes import check_prime, odd_prime_segments
 from .witt import factor_system_phi1, witt_digits
 
@@ -32,17 +31,18 @@ class RootReason(enum.Enum):
     MOD8_FAILURE = "not 1 mod 8"
 
 
-@dataclass(frozen=True, slots=True)
-class RootCheck:
+class RootCheck(Record):
     """Outcome of an existence test, before any root is constructed."""
 
-    ok: bool
-    reason: RootReason
-    digit_index: int | None = None
+    __slots__ = ("ok", "reason", "digit_index")
+
+    def __init__(self, ok: bool, reason: RootReason, digit_index: int | None = None):
+        _setattr(self, "ok", ok)
+        _setattr(self, "reason", reason)
+        _setattr(self, "digit_index", digit_index)
 
 
-@dataclass(frozen=True, slots=True)
-class RootReport:
+class RootReport(Record):
     """Roots of a given degree, or the first obstruction met.
 
     exists iff roots is non-empty; every root raised to the degree
@@ -51,37 +51,51 @@ class RootReport:
     carries the input precision.
     """
 
-    exists: bool
-    reason: RootReason
-    digit_index: int | None
-    roots: tuple[PAdicNumber, ...]
-    output_precision: int
+    __slots__ = ("exists", "reason", "digit_index", "roots", "output_precision")
+
+    def __init__(
+        self,
+        exists: bool,
+        reason: RootReason,
+        digit_index: int | None,
+        roots: tuple[PAdicNumber, ...],
+        output_precision: int,
+    ):
+        _setattr(self, "exists", exists)
+        _setattr(self, "reason", reason)
+        _setattr(self, "digit_index", digit_index)
+        _setattr(self, "roots", roots)
+        _setattr(self, "output_precision", output_precision)
 
 
-@dataclass(frozen=True, slots=True)
-class QuotientCongruenceReport:
+class QuotientCongruenceReport(Record):
     """Both sides of the root/quotient congruence, reduced mod p."""
 
-    holds: bool
-    root_quotient: int
-    scaled_quotient: int
-    digit_value: int
-    digit_predicted: int
+    __slots__ = ("holds", "root_quotient", "scaled_quotient", "digit_value", "digit_predicted")
+
+    def __init__(self, holds: bool, root_quotient: int, scaled_quotient: int, digit_value: int, digit_predicted: int):
+        _setattr(self, "holds", holds)
+        _setattr(self, "root_quotient", root_quotient)
+        _setattr(self, "scaled_quotient", scaled_quotient)
+        _setattr(self, "digit_value", digit_value)
+        _setattr(self, "digit_predicted", digit_predicted)
 
 
-@dataclass(frozen=True, slots=True)
-class FermatWitness:
+class FermatWitness(Record):
     """Residue pair with vanishing carry whose p-th-power sum has a p-th root.
 
     (x, y, -root) solves X^p + Y^p + Z^p = 0 in the p-adic integers: the
     root satisfies root^p = x^p + y^p, so negating it moves the sum to zero.
     """
 
-    p: int
-    x: int
-    y: int
-    sum: int
-    root: PAdicInt
+    __slots__ = ("p", "x", "y", "sum", "root")
+
+    def __init__(self, p: int, x: int, y: int, sum: int, root: PAdicInt):
+        _setattr(self, "p", p)
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "sum", sum)
+        _setattr(self, "root", root)
 
 
 def _require_unit(x: PAdicNumber) -> PAdicInt:

@@ -8,23 +8,20 @@ i, the most it needs).  Ring operations round-trip through the bijection;
 the length-2 factor system is kept as an independent cross-check.
 """
 
-from dataclasses import dataclass
-
 from .errors import MismatchedRing, NotAUnit, WrongPrime
-from .padic import PAdicInt, teichmuller, unit_inverse
+from .padic import PAdicInt, Record, _setattr, teichmuller, unit_inverse
 from .primes import check_prime
 
 
-@dataclass(frozen=True, slots=True)
-class WittVector:
-    p: int
-    digits: tuple[int, ...]
+class WittVector(Record):
+    __slots__ = ("p", "digits")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if len(self.digits) == 0:
+    def __init__(self, p: int, digits: tuple[int, ...]):
+        check_prime(p)
+        if len(digits) == 0:
             raise ValueError("a Witt vector needs at least one digit")
-        object.__setattr__(self, "digits", tuple(d % self.p for d in self.digits))
+        _setattr(self, "p", p)
+        _setattr(self, "digits", tuple(d % p for d in digits))
 
     @property
     def length(self) -> int:

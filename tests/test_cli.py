@@ -1,10 +1,13 @@
 """Command-line behavior: golden outputs, JSON schema, precision, exit codes."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wittpadics
 from wittpadics import (
     ExactExponent,
     PAdicInt,
@@ -293,6 +296,19 @@ def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+def test_cli_import_loads_no_class_machinery():
+    # Each command is one process, so the import is paid on every call.
+    # -S keeps site .pth files, which may import typing, out of the child.
+    package_root = str(Path(wittpadics.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {package_root!r}); import wittpadics.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
 
 
 # ---------------------------------------------------------------- precision
