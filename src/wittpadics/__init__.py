@@ -21,6 +21,7 @@ from .errors import (
     PadicError,
     PrecisionTooLow,
     RootCondition,
+    SelfCheckFailed,
     ValuationCondition,
     WrongPrime,
     ZeroInput,

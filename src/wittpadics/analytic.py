@@ -5,7 +5,13 @@ p^K once every remaining term has valuation >= K.  Terms are accumulated at
 a working precision with enough guard digits that each division by j (or by
 j!) is exact: the p-part of the divisor is cancelled by integer division of
 the power of t, the unit part by one modular inverse at the end of the sum.
+
+When p is small against K, the log is taken as log(x^(p^r)) / p^r, whose
+series needs about K/(r+1) terms, and exp by Newton's method on that log;
+see Brent (1976), "Fast multiple-precision evaluation of elementary functions".
 """
+
+from math import isqrt
 
 from .errors import (
     DomainError,
@@ -14,25 +20,8 @@ from .errors import (
     ValuationCondition,
     ZeroInput,
 )
-from .padic import PAdicInt, PAdicNumber, Record, _setattr, padic_valuation, teichmuller, unit_inverse
+from .padic import PAdicInt, PAdicNumber, Record, _setattr, teichmuller, unit_inverse
 from .witt import witt_digits
-
-
-def _floor_log(base: int, n: int) -> int:
-    e = 0
-    while base ** (e + 1) <= n:
-        e += 1
-    return e
-
-
-def _factorial_valuation(n: int, p: int) -> int:
-    # Legendre: v_p(n!) = sum of n // p^i
-    total = 0
-    q = n // p
-    while q:
-        total += q
-        q //= p
-    return total
 
 
 def _require_principal(x: PAdicInt) -> None:
@@ -55,64 +44,86 @@ def _require_argument(theta: PAdicInt) -> None:
         raise DomainError(f"exp requires theta = 0 (mod {theta.p})")
 
 
-def plog(x: PAdicInt) -> PAdicInt:
-    """Logarithm of a principal unit; the result is divisible by p.
+def _log(p: int, K: int, x: int) -> int:
+    """log x mod p^K for x = 1 mod p (mod 4 at p = 2), as log(y) / p^r with y = x^(p^r).
 
-    Term j has valuation >= j - floor(log_p j), a non-decreasing bound, so
-    the series is cut at the last index where it stays below K.  The guard
-    precision floor(log_p J) covers the worst division by j.  As in pexp, the
-    sum is kept over the product D_J of the unit parts of 1..J, inverted once.
+    y is 1 mod p^s, s = r + 1 (r + 2 at p = 2), and x mod p^K fixes it to
+    N = K + r digits.  Term j of log(1+t), t = y - 1, has valuation >= j*s -
+    floor(log_p j), a non-decreasing bound, so the terms from j = (N + g)/s on
+    vanish once p^(g+1) passes that index; g is also the guard, the largest
+    v_p(j) kept.  As in pexp, the sum is kept over the product D of the unit
+    parts of the j, inverted once.  The cost is r p-th powerings plus about
+    K/(r+1) terms, least near r = sqrt(K / log2 p); r = 0, the plain series,
+    once p >= 2^K.
     """
-    p, K = x.p, x.precision
-    _require_principal(x)
-    t = x.residue - 1
-    last = 0
-    while (last + 1) - _floor_log(p, last + 1) < K:
-        last += 1
-    guard = _floor_log(p, last) if last else 0
-    m = p ** (K + guard)
+    r = isqrt(K // p.bit_length())
+    N = K + r
+    s = r + 1 + (p == 2)
+    t = pow(x, p**r, p**N) - 1
+    g = 0
+    while p ** (g + 1) <= (N + g - 1) // s + 1:
+        g += 1
+    m = p ** (N + g)
     total = 0
     tpow = denom = 1
-    for j in range(1, last + 1):
+    for j in range(1, (N + g - 1) // s + 1):
         tpow = tpow * t % m
-        e = padic_valuation(j, p)
-        u = j // p**e
-        total = (total * u - (-1) ** j * (tpow // p**e) * denom) % m
+        u, p_part = j, 1
+        while u % p == 0:
+            u //= p
+            p_part *= p
+        term = tpow // p_part * denom
+        total = (total * u + term if j & 1 else total * u - term) % m
         denom = denom * u % m
-    return PAdicInt(p, K, total * pow(denom, -1, m))
+    return total * pow(denom, -1, m) % p**N // p**r
+
+
+def plog(x: PAdicInt) -> PAdicInt:
+    """Logarithm of a principal unit; the result is divisible by p."""
+    _require_principal(x)
+    return PAdicInt(x.p, x.precision, _log(x.p, x.precision, x.residue))
 
 
 def pexp(theta: PAdicInt) -> PAdicInt:
     """Exponential of an argument divisible by p (by 4 when p = 2).
 
-    Term j has valuation >= j*v - v_p(j!) >= j*v - (j-1)/(p-1) with v the
-    domain valuation (1 for odd p, 2 for p = 2), which gives the cutoff; the
-    guard precision v_p(J!) covers the worst division by j!.  The p-part of
-    j! is cancelled by integer division of t^j.  The sum is kept scaled by
-    the unit part U_j of j!: S_j = S_(j-1)*u_j + t^j/p^v_p(j!), with u_j the
-    unit part of j, so that S_J = U_J * sum(t^j/j!) and the series costs a
-    single modular inverse, of U_J, at the end.
+    The series runs at a start precision k0 of at most 6 bits(p) digits, with
+    bits(p) the bit length of p; then each Newton step y <- y * (1 + theta -
+    log y) takes y from e correct digits to 2e (2e - 1 at p = 2), up to K.
+    So K <= 6 bits(p) is the series alone, and above it the cost is about two
+    logs to K digits.
+
+    In the series, term j has valuation >= j*v - v_p(j!) >= j*v - (j-1)/(p-1)
+    with v the domain valuation (1 for odd p, 2 for p = 2), which gives the
+    cutoff J; (J-1)/(p-1) guard digits cover the worst division by j!.
+    The p-part of j! is cancelled by integer division of t^j.  The sum is
+    kept scaled by the unit part U_j of j!: S_j = S_(j-1)*u_j + t^j/p^v_p(j!),
+    with u_j the unit part of j, so that S_J = U_J * sum(t^j/j!) and the
+    series costs a single modular inverse, of U_J, at the end.
     """
     p, K = theta.p, theta.precision
     _require_argument(theta)
+    precisions = [K]
+    while precisions[-1] > 6 * p.bit_length():
+        precisions.append((precisions[-1] + 1 + (p == 2)) // 2)
+    k0 = precisions.pop()
     vmin = 2 if p == 2 else 1
     t = theta.residue
-    denom = vmin * (p - 1) - 1
-    last = max(1, -(-(K * (p - 1) - 1) // denom))
-    guard = _factorial_valuation(last, p)
-    m = p ** (K + guard)
-    total = 1
-    tpow = 1
-    fact_v = 0
-    fact_unit = 1
+    last = max(1, -(-(k0 * (p - 1) - 1) // (vmin * (p - 1) - 1)))
+    m = p ** (k0 + (last - 1) // (p - 1))
+    total = tpow = fact_unit = fact_p = 1
     for j in range(1, last + 1):
         tpow = tpow * t % m
-        e = padic_valuation(j, p)
-        fact_v += e
-        u = j // p**e
+        u = j
+        while u % p == 0:
+            u //= p
+            fact_p *= p
         fact_unit = fact_unit * u % m
-        total = (total * u + tpow // p**fact_v) % m
-    return PAdicInt(p, K, total * pow(fact_unit, -1, m))
+        total = (total * u + tpow // fact_p) % m
+    y = total * pow(fact_unit, -1, m) % p**k0
+    for k in reversed(precisions):
+        y = y * (1 + t - _log(p, k, y)) % p**k
+    return PAdicInt(p, K, y)
 
 
 class PolarForm(Record):

@@ -55,3 +55,7 @@ class PrecisionTooLow(PadicError):
 
 class WrongPrime(PadicError):
     """Operation is only defined for a different prime (p = 2 vs p odd)."""
+
+
+class SelfCheckFailed(PadicError, AssertionError):
+    """An internal consistency check failed: a bug, not a bad input."""

@@ -18,6 +18,7 @@ from .errors import (
     MismatchedRing,
     NotAUnit,
     PrecisionTooLow,
+    SelfCheckFailed,
     WrongPrime,
     ZeroInput,
 )
@@ -188,7 +189,7 @@ def teichmuller(a: PAdicInt) -> PAdicInt:
         e, m = (2 * e, m * m) if 2 * e < K else (K, a.modulus)
         w = (w + (pow(w, p, m) - w) * ((m - 1) // (p - 1))) % m
     if pow(w, p, m) != w:
-        raise AssertionError("Newton lift is not fixed by the p-power map")
+        raise SelfCheckFailed("Newton lift is not fixed by the p-power map")
     return PAdicInt(p, K, w)
 
 

@@ -14,6 +14,7 @@ from .errors import (
     NotAUnit,
     PrecisionTooLow,
     RootCondition,
+    SelfCheckFailed,
     ValuationCondition,
     WrongPrime,
     ZeroInput,
@@ -128,7 +129,7 @@ def _k1_cross_check(unit: PAdicInt, digit_ok: bool) -> None:
     predicted = (pow(l0, p, p**3) - l0) % p**2 // p % p
     digit_form_ok = l1 == predicted
     if not (digit_ok == quot_ok == power_ok == digit_form_ok):
-        raise AssertionError(
+        raise SelfCheckFailed(
             f"degree-p criteria disagree for {unit}: digit={digit_ok} "
             f"quotient={quot_ok} power={power_ok} digit-form={digit_form_ok}"
         )
@@ -313,6 +314,6 @@ def flt_local_witness(p: int, precision: int = 6) -> FermatWitness | None:
         total = 1 + y**p
         report = pk_root(PAdicNumber.from_integer(total, p, precision), 1)
         if not report.exists:
-            raise AssertionError(f"phi_1(1, {y}) = 0 but 1 + {y}^{p} has no {p}-th root")
+            raise SelfCheckFailed(f"phi_1(1, {y}) = 0 but 1 + {y}^{p} has no {p}-th root")
         return FermatWitness(p, 1, y, total, report.roots[0].unit)
     return None

@@ -5,7 +5,8 @@ from the extended gcd, Teichmuller lifts from exhaustive search or from the
 p-power map applied K - 1 times, Witt digits from peeling those lifts off one
 digit at a time, ghost entries from solving the ghost identity directly (not
 the recursion), roots from brute-force scans, the length-2 carry from its
-defining p-term sum, and the analytic maps from exact Fraction series.
+defining p-term sum, and the analytic maps from exact Fraction series, or,
+at high precision, from their plain term-by-term series mod p^K.
 """
 
 from fractions import Fraction
@@ -140,3 +141,58 @@ def exp_by_fraction_series(p: int, precision: int, theta: int) -> int:
     assert total.denominator % p != 0
     m = p**precision
     return total.numerator * pow(total.denominator, -1, m) % m
+
+
+def _valuation(n: int, p: int) -> int:
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def log_by_series(p: int, precision: int, x: int) -> int:
+    """log(1+t), t = x - 1, summed term by term mod p^(K + guard) with no argument reduction.
+
+    Term j has valuation >= j - floor(log_p j), so the sum stops at the last j
+    where that is below K; floor(log_p J) guard digits cover the division by j.
+    The sum is kept over the product of the unit parts of 1..J, inverted once.
+    """
+    t = x - 1
+    last = 0
+    while (last + 1) - _floor_log(p, last + 1) < precision:
+        last += 1
+    guard = _floor_log(p, last) if last else 0
+    m = p ** (precision + guard)
+    total = 0
+    tpow = denom = 1
+    for j in range(1, last + 1):
+        tpow = tpow * t % m
+        e = _valuation(j, p)
+        u = j // p**e
+        total = (total * u - (-1) ** j * (tpow // p**e) * denom) % m
+        denom = denom * u % m
+    return total * pow(denom, -1, m) % p**precision
+
+
+def exp_by_series(p: int, precision: int, theta: int) -> int:
+    """exp(t) summed term by term mod p^(K + guard), with no Newton step.
+
+    Term j has valuation >= j*v - (j-1)/(p-1), v = 1 (2 at p = 2), which gives
+    the cutoff J; v_p(J!) guard digits cover the division by j!.  The sum is
+    kept scaled by the unit part of j!, inverted once.
+    """
+    vmin = 2 if p == 2 else 1
+    last = max(1, -(-(precision * (p - 1) - 1) // (vmin * (p - 1) - 1)))
+    guard = sum(last // p**i for i in range(1, _floor_log(p, last) + 1))
+    m = p ** (precision + guard)
+    total = tpow = fact_unit = 1
+    fact_v = 0
+    for j in range(1, last + 1):
+        tpow = tpow * theta % m
+        e = _valuation(j, p)
+        fact_v += e
+        u = j // p**e
+        fact_unit = fact_unit * u % m
+        total = (total * u + tpow // p**fact_v) % m
+    return total * pow(fact_unit, -1, m) % p**precision

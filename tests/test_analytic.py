@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from wittpadics import (
@@ -82,6 +84,64 @@ def test_plog_matches_fraction_oracle_at_32_digits(p):
     m = p**32
     for t in [0, p**v, m - p**v] + [p**v * rng.randrange(p ** (32 - v)) for _ in range(6)]:
         assert plog(PAdicInt(p, 32, 1 + t)).residue == oracles.log_by_fraction_series(p, 32, (1 + t) % m)
+
+
+# Residues up to 11^512 < 2^1800, and a shift that sets the valuation of x - 1 or theta.
+_high_precision = (st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 512), st.integers(0, 2**1800), st.integers(0, 40))
+
+
+@settings(deadline=None, max_examples=60)
+@given(*_high_precision)
+def test_plog_matches_series_oracle_to_512_digits(p, K, a, shift):
+    assume(p != 2 or K >= 2)
+    q = 4 if p == 2 else p
+    x = (1 + q * p**shift * a) % p**K
+    assert plog(PAdicInt(p, K, x)).residue == oracles.log_by_series(p, K, x)
+
+
+@settings(deadline=None, max_examples=60)
+@given(*_high_precision)
+def test_pexp_matches_series_oracle_to_512_digits(p, K, a, shift):
+    assume(p != 2 or K >= 2)
+    q = 4 if p == 2 else p
+    t = q * p**shift * a % p**K
+    y = pexp(PAdicInt(p, K, t))
+    assert y.residue == oracles.exp_by_series(p, K, t)
+    assert plog(y).residue == t
+
+
+def _edge_precisions(p):
+    # K in {1, 2, 3}, p - 1..p + 1, both sides of each step of the log's
+    # reduction r = isqrt(K // bits) up to r = 3, and of the series/Newton
+    # crossover of pexp at 6 * bits, with one Newton step and with two past it.
+    bits = p.bit_length()
+    ks = {1, 2, 3, p - 1, p, p + 1}
+    for edge in (bits, 4 * bits, 9 * bits, 6 * bits, 6 * bits + 1, 12 * bits + 1):
+        ks |= {edge - 1, edge, edge + 1}
+    return sorted(k for k in ks if k >= (2 if p == 2 else 1))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_log_exp_edge_cases_against_series_oracle(p):
+    q = 4 if p == 2 else p
+    v = 2 if p == 2 else 1
+    rng = random.Random(40 + p)
+    for K in _edge_precisions(p):
+        m = p**K
+        unit = rng.randrange(1, m) | 1 if p == 2 else rng.choice([u for u in range(1, 2 * p) if u % p])
+        xs = [1, 1 + q, m - q + 1, 1 + q * unit, 1 + p ** (K - 1) * unit, 1 + q * rng.randrange(m)]
+        if p == 2:
+            xs += [5, 5 + 8 * rng.randrange(m)]  # x = 5 mod 8: log x has valuation exactly 2
+        for x in xs:
+            if x % q == 1:
+                assert plog(PAdicInt(p, K, x)).residue == oracles.log_by_series(p, K, x % m), (K, x)
+        # theta = 0, of valuation exactly v, of valuation K - 1 and of valuation >= K
+        thetas = [0, m, p**v * unit, p ** (K - 1) * unit, q * rng.randrange(m)]
+        for t in thetas:
+            if t % q == 0:
+                assert pexp(PAdicInt(p, K, t)).residue == oracles.exp_by_series(p, K, t % m), (K, t)
+        assert plog(PAdicInt(p, K, 1)).residue == 0
+        assert pexp(PAdicInt(p, K, 0)).residue == 1
 
 
 def test_mutual_inverses_500_per_prime():

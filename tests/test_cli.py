@@ -245,6 +245,22 @@ def test_domain_error_exits_one(capsys):
     assert "log requires" in err
 
 
+@pytest.mark.parametrize("output", ["human", "json"])
+def test_failed_self_check_exits_one_without_a_traceback(capsys, monkeypatch, output):
+    # With every carry forced to 0, the search takes y = 1, and 1 + 1^5 = 2 has
+    # no 5th root in Z_5: the witness check fails as a typed error, exit 1.
+    monkeypatch.setattr(wittpadics.roots, "factor_system_phi1", lambda p, x, y: 0)
+    code, out, err = run(capsys, ["flt-witness", "--p", "5", "--output", output])
+    assert code == 1
+    assert "Traceback" not in out + err
+    if output == "json":
+        assert err == ""
+        assert json.loads(out) == {"ok": False, "precision": 8, "reason": "phi_1(1, 1) = 0 but 1 + 1^5 has no 5-th root"}
+    else:
+        assert out == ""
+        assert err == "error: phi_1(1, 1) = 0 but 1 + 1^5 has no 5-th root\n"
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, ["convert", "--p", "4", "--value", "2"])
     assert code == 2 and "not prime" in err

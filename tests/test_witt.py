@@ -13,6 +13,7 @@ from wittpadics import (
     PAdicInt,
     PAdicNumber,
     PrecisionTooLow,
+    SelfCheckFailed,
     WittVector,
     factor_system_phi1,
     ghost_sequence,
@@ -104,8 +105,15 @@ def test_table_long_vectors_and_digit_prefixes(p):
             assert witt_digits(x, n) == tuple(digits[:n])
 
 
-@pytest.mark.parametrize("p", (2, 3, 7, 101))
-def test_table_lifts_each_distinct_nonzero_digit_once_at_its_first_use(p, monkeypatch):
+def _uses_whole_table(p, n):
+    # the documented crossover: all p lifts at once when p - 1 <= (n - 1) bits(p),
+    # and below 2^26 bits when there are more lifts than digits
+    bits = p.bit_length()
+    return p - 1 <= (n - 1) * bits and (p <= n or p * n * bits <= 2**26)
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 101, 1000003))
+def test_conversion_lifts_one_primitive_root_or_each_digit_at_its_first_use(p, monkeypatch):
     lifts = []
     lift = witt.teichmuller
 
@@ -113,20 +121,76 @@ def test_table_lifts_each_distinct_nonzero_digit_once_at_its_first_use(p, monkey
         lifts.append((a.residue, a.precision))
         return lift(a)
 
-    def first_uses(digits, K):
+    def expected(digits, K):
+        # one lift of the least primitive root, to all K digits, or else each
+        # distinct nonzero digit once, at the K - i digits of its first use
+        if _uses_whole_table(p, K):
+            return [(sympy.primitive_root(p), K)]
         return sorted({d: K - digits.index(d) for d in digits if d}.items())
 
     monkeypatch.setattr(witt, "teichmuller", counted)
     rng = random.Random(p)
-    for K in (1, 2, 9, 40):
+    # p = 101 takes the whole table from K = 16 on; p = 1000003 never here
+    for K in (1, 2, 15, 16, 40):
         digits = tuple(rng.choice((0, 0, 1, p - 1, rng.randrange(p))) for _ in range(K))
         lifts.clear()
         x = witt_to_padic(WittVector(p, digits))
-        assert sorted(lifts) == first_uses(digits, K)
+        assert sorted(lifts) == expected(digits, K)
         # the peel needs no lift for its last digit
         lifts.clear()
         assert padic_to_witt(x).digits == digits
-        assert sorted(lifts) == first_uses(digits[:-1], K)
+        assert sorted(lifts) == expected(digits[:-1], K)
+
+
+@pytest.mark.parametrize("p,n,table", [(1009, 120, True), (10007, 800, False)])
+def test_whole_table_for_p_above_the_length_stays_below_2_to_26_bits(p, n, table, monkeypatch):
+    # p > n and the table costs fewer products in both cases; 10007 lifts of
+    # 800 digits (14 bits each) pass 2^26 bits, so there each digit is lifted alone
+    assert p - 1 <= (n - 1) * p.bit_length() and _uses_whole_table(p, n) == table
+    lifts = []
+    lift = witt.teichmuller
+
+    def counted(a):
+        lifts.append((a.residue, a.precision))
+        return lift(a)
+
+    monkeypatch.setattr(witt, "teichmuller", counted)
+    digits = (2,) + (0,) * (n - 1)
+    assert witt_to_padic(WittVector(p, digits)).residue == lift(PAdicInt(p, n, 2)).residue
+    assert lifts == [(sympy.primitive_root(p), n) if table else (2, n)]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 101))
+def test_whole_group_table_matches_power_oracle(p):
+    for n in (2, 3, 9, 33, 130):
+        if _uses_whole_table(p, n):
+            lift = witt._lifts(p, n)
+            assert [lift(d, n) for d in range(p)] == [oracles.teichmuller_by_power(p, n, d) for d in range(p)]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 31, 101, 257))
+def test_conversions_agree_with_oracles_on_both_sides_of_the_table_crossover(p):
+    first = next(n for n in range(2, 10**4) if _uses_whole_table(p, n))
+    rng = random.Random(p)
+    for n in (first - 1, first, first + 1):
+        for _ in range(4):
+            digits = tuple(rng.randrange(p) for _ in range(n))
+            _check_against_oracles(p, digits)
+            x = rng.randrange(p**n)
+            assert witt_digits(PAdicInt(p, n, x), n) == oracles.witt_digits_by_peel(p, n, x)
+
+
+@pytest.mark.parametrize("p", (3, 5, 11, 101))
+def test_a_wrong_primitive_root_lift_fails_the_closing_check(p, monkeypatch):
+    # off by p^(n-1), the lift still reduces to g but w^(p-1) is no longer 1 mod p^n
+    lift = witt.teichmuller
+    monkeypatch.setattr(witt, "teichmuller", lambda a: lift(a) + a.p ** (a.precision - 1))
+    n = 40
+    assert _uses_whole_table(p, n)
+    with pytest.raises(SelfCheckFailed, match="primitive root"):
+        witt_to_padic(WittVector(p, (1,) * n))
+    with pytest.raises(SelfCheckFailed, match="primitive root"):
+        padic_to_witt(PAdicInt(p, n, 2))
 
 
 def test_round_trips():
