@@ -9,6 +9,8 @@ the power of t, the unit part by one modular inverse at the end of the sum.
 When p is small against K, the log is taken as log(x^(p^r)) / p^r, whose
 series needs about K/(r+1) terms, and exp by Newton's method on that log;
 see Brent (1976), "Fast multiple-precision evaluation of elementary functions".
+Roots take neither: a u/p^k-th power is the u-th power of a root of
+y^(p^k) = x, lifted by Newton's method on that equation (padic._lift_root).
 """
 
 from math import isqrt
@@ -20,7 +22,7 @@ from .errors import (
     ValuationCondition,
     ZeroInput,
 )
-from .padic import PAdicInt, PAdicNumber, Record, _setattr, teichmuller, unit_inverse
+from .padic import PAdicInt, PAdicNumber, Record, _lift_root, _setattr, teichmuller, unit_inverse
 from .witt import witt_digits
 
 
@@ -215,10 +217,10 @@ def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:
 
     Integer exponents reduce to modular powering.  An exponent u/p^k needs
     the valuation divisible by p^k and the unit's Witt digits 1..k all zero
-    (1..k+1 at p = 2);
-    the polar argument is then divisible by p^(k+1), and the result is the
-    polar form of x scaled by u/p^k: valuation and argument times u/p^k,
-    Teichmuller digit to the power u.  It carries K - k digits.
+    (1..k+1 at p = 2).  The unit then has exactly one p^k-th root that is
+    congruent to it mod p (mod 4 at p = 2), the one its polar form scaled by
+    1/p^k gives; the result is p^(valuation*u/p^k) times that root to the
+    power u, and carries K - k digits.
     """
     p = x.p
     y = y.normalized(p)
@@ -230,6 +232,5 @@ def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:
     if k == 0:
         return x.pow_int(u)
     _check_pk_root(x, k)
-    form = polar(x)
-    scaled = form.argument.exact_div_p_power(k) * u
-    return recompose(PolarForm(p, form.valuation // p**k * u, pow(form.teich_digit, u, p), scaled))
+    root = _lift_root(x.unit, p**k, x.unit.residue)
+    return PAdicNumber(p, x.valuation // p**k * u, PAdicInt(p, root.precision, pow(root.residue, u, root.modulus)))

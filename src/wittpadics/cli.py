@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 when the computation reports a domain failure
-(for example the requested root does not exist), 2 on usage errors.
+Exit codes: 0 on success, 1 on a domain failure (say, the requested root
+does not exist) or when stdout closes early, 2 on usage errors.
 Precision and output format come from the command-line flags alone.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -318,7 +319,14 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early: send the flush at exit to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -209,16 +209,27 @@ def kth_power_residue_test(p: int, a: int, k: int) -> bool:
     return pow(a, (p - 1) // g, p) == 1
 
 
-def _newton_lift_root(r: int, k: int, target: int, p: int, precision: int) -> int:
-    # r is a simple mod-p root of x^k - target; double the precision each step.
-    prec = 1
-    while prec < precision:
-        prec = min(2 * prec, precision)
-        m = p**prec
-        fr = (pow(r, k, m) - target) % m
-        dr = k * pow(r, k - 1, m) % m
-        r = (r - fr * pow(dr, -1, m)) % m
-    return r
+def _lift_root(x: PAdicInt, n: int, r: int) -> PAdicInt:
+    """The root of y^n = x that is r mod p (mod 4 at p = 2), to K - v_p(n) digits; its caller knows it exists.
+
+    Newton's method, with 1/(n*y^(n-1)) replaced by y*w for w = 1/(qx) and q
+    the part of n prime to p, takes y from e correct digits to 2e (2e - 1 at
+    p = 2), and w <- w(2 - qxw) refines w alongside, so no step takes a
+    modular inverse.  The cost is O(log K) modular powers with exponent n,
+    plus the closing check y^n = x (mod p^K).
+    """
+    p, a, v = x.p, x.residue, padic_valuation(n, x.p)
+    N, pv, q, e = x.precision - v, p**v, n // p**v, 2 if p == 2 else 1
+    y, w = r % p**e, pow(q * a, -1, p)
+    while e < N:
+        e = min(2 * e - (p == 2), N)
+        m = p**e
+        b = a % (m * pv)
+        y = (y - y * ((pow(y, n, m * pv) - b) // pv) * w) % m
+        w = w * (2 - q * b * w) % m
+    if pow(y, n, x.modulus) != a:
+        raise SelfCheckFailed(f"the lifted root of y^{n} = x fails y^{n} = x (mod {p}^{x.precision})")
+    return PAdicInt(p, N, y)
 
 
 def hensel_kth_root(a: PAdicInt, k: int) -> tuple[PAdicInt, ...]:
@@ -228,22 +239,21 @@ def hensel_kth_root(a: PAdicInt, k: int) -> tuple[PAdicInt, ...]:
     and none otherwise; each mod-p solution lifts uniquely by Newton
     iteration because the derivative k*x^(k-1) stays a unit.
     """
-    p, K = a.p, a.precision
+    p = a.p
     if p == 2:
         raise WrongPrime("p = 2 roots are handled by the square-root routine")
     if k < 1:
         raise InvalidDegree(f"degree must be >= 1, got {k}")
     if not kth_power_residue_test(p, a.residue, k):
         return ()
-    a0 = a.residue % p
-    g = gcd(k, p - 1)
+    a0, g = a.residue % p, gcd(k, p - 1)
     base = []
     for r in range(1, p):
         if pow(r, k, p) == a0:
             base.append(r)
             if len(base) == g:
                 break
-    return tuple(PAdicInt(p, K, _newton_lift_root(r, k, a.residue, p, K)) for r in base)
+    return tuple(_lift_root(a, k, r) for r in base)
 
 
 class GhostSequence(Record):

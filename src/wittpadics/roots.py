@@ -9,7 +9,7 @@ import enum
 from bisect import bisect_left
 from math import prod
 
-from .analytic import ExactExponent, _check_pk_root, pexp, plog, ppow
+from .analytic import _check_pk_root
 from .errors import (
     NotAUnit,
     PrecisionTooLow,
@@ -20,6 +20,7 @@ from .errors import (
     ZeroInput,
 )
 from .padic import PAdicInt, PAdicNumber, Record, _setattr, hensel_kth_root, kth_power_residue_test, padic_valuation
+from .padic import _lift_root
 from .primes import check_prime, odd_prime_segments
 from .witt import factor_system_phi1, witt_digits
 
@@ -159,14 +160,14 @@ def pk_root_exists(x: PAdicNumber, k: int) -> RootCheck:
 def pk_root(x: PAdicNumber, k: int) -> RootReport:
     """The unique p^k-th root of x when the digit criterion holds.
 
-    The root is p^(z/p^k) * teichmuller(x_0) * exp(log(principal part)/p^k)
-    and is determined to K - k digits.
+    The root is p^(z/p^k) times the root of y^(p^k) = unit that is the unit
+    mod p, lifted by Newton's method; it is determined to K - k digits.
     """
     check = pk_root_exists(x, k)
     K = x.unit.precision
     if not check.ok:
         return RootReport(False, check.reason, check.digit_index, (), K)
-    root = ppow(x, ExactExponent(1, k))
+    root = PAdicNumber(x.p, x.valuation // x.p**k, _lift_root(x.unit, x.p**k, x.unit.residue))
     return RootReport(True, RootReason.OK, None, (root,), K - k)
 
 
@@ -200,8 +201,9 @@ def root_quotient_congruence_check(x: PAdicNumber, k: int) -> QuotientCongruence
 def sqrt_2adic(x: PAdicNumber) -> RootReport:
     """The two opposite square roots of a 2-adic unit congruent to 1 mod 8.
 
-    The principal root is exp(log(x)/2); the pair is determined to K - 1
-    digits, and either representative squares back to x mod 2^K.
+    The root that is 1 mod 4 is lifted by Newton's method on y^2 = x; the
+    pair is determined to K - 1 digits, and either representative squares
+    back to x mod 2^K.
     """
     if x.p != 2:
         raise WrongPrime(f"square-root routine is for p = 2, got p = {x.p}")
@@ -211,7 +213,7 @@ def sqrt_2adic(x: PAdicNumber) -> RootReport:
         raise PrecisionTooLow(f"need at least 3 digits to test mod 8, have {K}")
     if u.residue % 8 != 1:
         return RootReport(False, RootReason.MOD8_FAILURE, None, (), K)
-    r = pexp(plog(u).exact_div_p_power(1))
+    r = _lift_root(u, 2, 1)
     small = min(r.residue, (-r).residue)
     pair = tuple(PAdicNumber(2, 0, PAdicInt(2, K - 1, r)) for r in (small, -small))
     return RootReport(True, RootReason.OK, None, pair, K - 1)
@@ -221,7 +223,8 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
     """All m-th roots of x for odd p, splitting m into p^v times m'.
 
     The unit part passes in order: the digit criterion for its p^v-th root,
-    the m'-th power residue test, then the one p^v-th root is taken and its
+    the m'-th power residue test, then its one p^v-th root, the one that is
+    the unit mod p, is lifted by Newton's method, and that root's
     gcd(m', p-1) m'-th roots are Hensel-lifted.  The first failure is
     reported.  Roots are determined to K - v digits.
     """
@@ -247,7 +250,7 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
     # The p^v-th root is x.unit mod p, so this is the verdict Hensel would give.
     if not kth_power_residue_test(p, x.unit.residue, m_prime):
         return RootReport(False, RootReason.NOT_KTH_RESIDUE, None, (), K)
-    root = ppow(unit, ExactExponent(1, v)).unit
+    root = _lift_root(x.unit, p**v, x.unit.residue) if v else x.unit
     roots = sorted(hensel_kth_root(root, m_prime) if m_prime > 1 else (root,), key=lambda r: r.residue)
     w = x.valuation // m
     return RootReport(True, RootReason.OK, None, tuple(PAdicNumber(p, w, r) for r in roots), K - v)

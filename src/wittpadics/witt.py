@@ -2,12 +2,13 @@
 
 A length-k vector of digits in [0, p) corresponds to the residue
 sum(p^i * teichmuller(x_i)) mod p^k.  Each conversion keeps a digit table
-for the length of the call.  When p is small against k, the table holds all
-p lifts at once, as the powers of the lift of a primitive root mod p: one
-lift and p - 1 products.  Otherwise a vector has at most k distinct digits,
-and each is lifted once, at the precision of its first use (k - i at index
-i, the most it needs).  Ring operations round-trip through the bijection;
-the length-2 factor system is kept as an independent cross-check.
+for the length of the call, or of a ring operation.  When p is small
+against k, the table holds all p lifts at once, as the powers of the lift
+of a primitive root mod p: one lift and p - 1 products.  Otherwise a vector
+has at most k distinct digits, and each is lifted at the precision of its
+first use (k - i at index i), and again if a later use needs more.  Ring
+operations round-trip through the bijection; the length-2 factor system is
+kept as an independent cross-check.
 """
 
 from .errors import MismatchedRing, NotAUnit, SelfCheckFailed, WrongPrime
@@ -65,7 +66,7 @@ def _primitive_root(p: int) -> int:
 
 
 def _lifts(p: int, n: int):
-    """lift(d, k): the Teichmuller lift of digit d to k <= n digits, for one n-digit conversion.
+    """lift(d, k): the Teichmuller lift of digit d to k <= n digits, for n-digit conversions.
 
     If p - 1 <= (n - 1) bits(p), all p lifts are taken to n digits at once, as
     w^i for w = teichmuller(g) and g a primitive root: one lift and p - 1
@@ -73,16 +74,19 @@ def _lifts(p: int, n: int):
     The closing product w^(p-1) = 1 (mod p^n) shows that every entry is fixed
     by the p-power map.  When p > n the table outgrows the n lifts a vector
     can use, so it is then kept below 2^26 bits.  Otherwise each distinct
-    digit is lifted when first asked for, at the k digits of that first use.
+    digit is lifted at the k digits of its first use, and again for a later
+    use that asks for more.  A lift may hold more than k digits.
     """
     bits = p.bit_length()
     if p - 1 > (n - 1) * bits or p > n and p * n * bits > 2**26:
-        table = {0: 0}
+        table = {0: (0, n)}
 
         def lift(d, k):
-            if d not in table:
-                table[d] = teichmuller(PAdicInt(p, k, d)).residue
-            return table[d]
+            w, held = table.get(d, (0, 0))
+            if held < k:
+                w = teichmuller(PAdicInt(p, k, d)).residue
+                table[d] = w, k
+            return w
 
         return lift
     g = _primitive_root(p)
@@ -96,28 +100,29 @@ def _lifts(p: int, n: int):
     return lambda d, k: table[d]
 
 
-def witt_to_padic(w: WittVector) -> PAdicInt:
+def witt_to_padic(w: WittVector, lift=None) -> PAdicInt:
     """Residue mod p^k of a length-k vector: sum of p^i * teichmuller(x_i), reduced once.
 
     Term i is multiplied by p^i, so digit i needs its lift only to k - i
-    digits.  The lifts are read from index 0 up and summed by Horner's rule.
+    digits.  The lifts, from lift (a _lifts(p, k) table) or a new table, are
+    read from index 0 up and summed by Horner's rule.
     """
     p, k = w.p, w.length
-    lift, total = _lifts(p, k), 0
+    lift, total = lift or _lifts(p, k), 0
     for t in reversed([lift(d, k - i) for i, d in enumerate(w.digits)]):
         total = total * p + t
     return PAdicInt(p, k, total)
 
 
-def witt_digits(x: PAdicInt, n: int) -> tuple[int, ...]:
+def witt_digits(x: PAdicInt, n: int, lift=None) -> tuple[int, ...]:
     """The first n Witt digits of x: digit i is r mod p, then r = (r - teichmuller(digit i)) / p.
 
     They depend only on x mod p^n, so r starts as x truncated to n digits; n
-    above the precision of x raises PrecisionTooLow.  Digit i needs its lift to
-    n - i digits; each division by p is exact.
+    above the precision of x raises PrecisionTooLow.  Digit i needs its lift,
+    from lift or a new table, to n - i digits; each division by p is exact.
     """
     p, r = x.p, x.with_precision(n).residue
-    lift = _lifts(p, n)
+    lift = lift or _lifts(p, n)
     digits = [r % p]
     for i in range(1, n):
         r = (r - lift(digits[-1], n - i + 1)) // p
@@ -125,9 +130,9 @@ def witt_digits(x: PAdicInt, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def padic_to_witt(x: PAdicInt) -> WittVector:
-    """All Witt digits of a residue."""
-    return WittVector(x.p, witt_digits(x, x.precision))
+def padic_to_witt(x: PAdicInt, lift=None) -> WittVector:
+    """All Witt digits of a residue, from lift as in witt_digits."""
+    return WittVector(x.p, witt_digits(x, x.precision, lift))
 
 
 def integer_to_witt(n: int, p: int, length: int) -> WittVector:
@@ -135,31 +140,34 @@ def integer_to_witt(n: int, p: int, length: int) -> WittVector:
     return padic_to_witt(PAdicInt(p, length, n))
 
 
-def _aligned(x: WittVector, y: WittVector) -> tuple[WittVector, WittVector]:
+def _aligned(x: WittVector, y: WittVector):
+    """x and y truncated to their common length k, and one _lifts(p, k) table for the operation."""
     if x.p != y.p:
         raise MismatchedRing(f"cannot mix Witt vectors for p={x.p} and p={y.p}")
     k = min(x.length, y.length)
-    return x.truncated(k), y.truncated(k)
+    return x.truncated(k), y.truncated(k), _lifts(x.p, k)
 
 
 def witt_add(x: WittVector, y: WittVector) -> WittVector:
-    a, b = _aligned(x, y)
-    return padic_to_witt(witt_to_padic(a) + witt_to_padic(b))
+    a, b, lift = _aligned(x, y)
+    return padic_to_witt(witt_to_padic(a, lift) + witt_to_padic(b, lift), lift)
 
 
 def witt_mul(x: WittVector, y: WittVector) -> WittVector:
-    a, b = _aligned(x, y)
-    return padic_to_witt(witt_to_padic(a) * witt_to_padic(b))
+    a, b, lift = _aligned(x, y)
+    return padic_to_witt(witt_to_padic(a, lift) * witt_to_padic(b, lift), lift)
 
 
 def witt_neg(x: WittVector) -> WittVector:
-    return padic_to_witt(-witt_to_padic(x))
+    lift = _lifts(x.p, x.length)
+    return padic_to_witt(-witt_to_padic(x, lift), lift)
 
 
 def witt_inv(x: WittVector) -> WittVector:
     if x.digits[0] == 0:
         raise NotAUnit("leading digit is zero")
-    return padic_to_witt(unit_inverse(witt_to_padic(x)))
+    lift = _lifts(x.p, x.length)
+    return padic_to_witt(unit_inverse(witt_to_padic(x, lift)), lift)
 
 
 def factor_system_phi1(p: int, x0: int, y0: int) -> int:

@@ -6,10 +6,14 @@ p-power map applied K - 1 times, Witt digits from peeling those lifts off one
 digit at a time, ghost entries from solving the ghost identity directly (not
 the recursion), roots from brute-force scans, the length-2 carry from its
 defining p-term sum, and the analytic maps from exact Fraction series, or,
-at high precision, from their plain term-by-term series mod p^K.
+at high precision, from their plain term-by-term series mod p^K.  Roots at
+high precision come from the polar route, the library's own `teichmuller`,
+`plog` and `pexp`, which its root path does not run.
 """
 
 from fractions import Fraction
+
+from wittpadics import PAdicInt, pexp, plog, teichmuller
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -196,3 +200,15 @@ def exp_by_series(p: int, precision: int, theta: int) -> int:
         fact_unit = fact_unit * u % m
         total = (total * u + tpow // p**fact_v) % m
     return total * pow(fact_unit, -1, m) % p**precision
+
+
+def root_by_polar(p: int, precision: int, k: int, u: int, x: int) -> int:
+    """omega(x_0)^u * exp(u * log(x / omega(x_0)) / p^k) mod p^(K - k), for a unit x with a p^k-th root.
+
+    At p = 2, omega(1) = 1 and the value is the root that is 1 mod 4, to the power u.
+    """
+    n = precision - k
+    lift = teichmuller(PAdicInt(p, precision, x)).residue
+    principal = PAdicInt(p, precision, x * inverse_by_egcd(lift, p**precision))
+    theta = plog(principal).exact_div_p_power(k) * u
+    return pow(lift, u, p**n) * pexp(theta).residue % p**n

@@ -1,6 +1,7 @@
 """Command-line behavior: golden outputs, JSON schema, precision, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -325,6 +326,25 @@ def test_cli_import_loads_no_class_machinery():
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # 11^80000 - 1 prints as about 83 kB, more than a pipe holds, so the child
+    # is still writing when the reader closes the pipe after 10 bytes.
+    package_root = str(Path(wittpadics.__file__).resolve().parents[1])
+    argv = ["convert", "--to", "padic", "--p", "11", "--precision", "80000", "--value", "-1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wittpadics.cli", *argv],
+        env={**os.environ, "PYTHONPATH": package_root},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 # ---------------------------------------------------------------- precision

@@ -193,6 +193,46 @@ def test_a_wrong_primitive_root_lift_fails_the_closing_check(p, monkeypatch):
         padic_to_witt(PAdicInt(p, n, 2))
 
 
+@pytest.mark.parametrize("op", (witt_add, witt_mul))
+def test_a_ring_operation_builds_one_digit_table(op, monkeypatch):
+    # at (101, 64) the table is the powers of one lifted primitive root, shared by all three conversions
+    p, K = 101, 64
+    assert _uses_whole_table(p, K)
+    lifts = []
+    lift = witt.teichmuller
+    monkeypatch.setattr(witt, "teichmuller", lambda a: lifts.append(a.residue) or lift(a))
+    rng = random.Random(K)
+    for _ in range(3):
+        a, b = (tuple(rng.randrange(p) for _ in range(K)) for _ in range(2))
+        lifts.clear()
+        result = op(WittVector(p, a), WittVector(p, b))
+        assert lifts == [sympy.primitive_root(p)]
+        x, y = (oracles.witt_residue_by_power(p, K, d) for d in (a, b))
+        assert result.digits == oracles.witt_digits_by_peel(p, K, x * y if op is witt_mul else x + y)
+
+
+def test_a_shared_per_digit_table_lifts_again_for_more_digits(monkeypatch):
+    p, n = 1000003, 12
+    assert not _uses_whole_table(p, n)
+    lifts = []
+    lift = witt.teichmuller
+    monkeypatch.setattr(witt, "teichmuller", lambda a: lifts.append(a.precision) or lift(a))
+    table = witt._lifts(p, n)
+    assert table(7, 3) % p**3 == oracles.teichmuller_by_power(p, 3, 7)
+    assert table(7, 2) % p**2 == oracles.teichmuller_by_power(p, 2, 7)
+    assert table(7, n) == oracles.teichmuller_by_power(p, n, 7)
+    assert table(7, 5) % p**5 == oracles.teichmuller_by_power(p, 5, 7)
+    assert table(0, n) == 0
+    assert lifts == [3, n]
+    # digit 7 is lifted to 1 digit for the last index of a, then to n for index 0 of b
+    a = WittVector(p, (0,) * (n - 1) + (7,))
+    b = WittVector(p, (7,) + (0,) * (n - 1))
+    lifts.clear()
+    total = sum(oracles.witt_residue_by_power(p, n, w.digits) for w in (a, b))
+    assert witt_add(a, b).digits == oracles.witt_digits_by_peel(p, n, total)
+    assert lifts[:2] == [1, n]
+
+
 def test_round_trips():
     rng = random.Random(10)
     for _ in range(150):
