@@ -22,7 +22,7 @@ from .errors import (
 from .padic import PAdicInt, PAdicNumber, Record, _setattr, hensel_kth_root, kth_power_residue_test, padic_valuation
 from .padic import _lift_root
 from .primes import check_prime, odd_prime_segments
-from .witt import factor_system_phi1, witt_digits
+from .witt import _group_table, factor_system_phi1, witt_digits
 
 
 class RootReason(enum.Enum):
@@ -302,21 +302,36 @@ def wieferich_search(base: int, limit: int) -> list[int]:
     return hits
 
 
+#: Largest p `flt_local_witness` accepts.  Its table holds p lifts mod p^2, and
+#: the exact sum 1 + y^p has about p log2(p) bits: near 2^20 at 2^16.
+FLT_LIMIT = 2**16
+
+
 def flt_local_witness(p: int, precision: int = 6) -> FermatWitness | None:
-    """Search 0 < y < p-1 for a vanishing carry phi_1(1, y).
+    """The least 0 < y < p-1 with vanishing carry phi_1(1, y), or None.
 
     A hit means 1 + y^p is a p-th power sum whose degree-p digit vanishes,
-    so its p-th root exists; the root is verified at the given precision.
+    so its p-th root exists; the root is verified at the given precision,
+    at least 2 to read Witt digit 1.  phi_1(1, y) = 0 exactly when
+    t[y + 1] = t[y] + 1 for t[a] = a^p mod p^2, the Teichmuller lift of a, so
+    y is read off one _group_table, with no pow per candidate, and confirmed
+    by factor_system_phi1.  p above FLT_LIMIT raises ValueError.
     """
     check_prime(p)
     if p == 2:
         raise WrongPrime("the witness search needs p odd")
-    for y in range(1, p - 1):
-        if factor_system_phi1(p, 1, y) != 0:
-            continue
-        total = 1 + y**p
-        report = pk_root(PAdicNumber.from_integer(total, p, precision), 1)
-        if not report.exists:
-            raise SelfCheckFailed(f"phi_1(1, {y}) = 0 but 1 + {y}^{p} has no {p}-th root")
-        return FermatWitness(p, 1, y, total, report.roots[0].unit)
-    return None
+    if p > FLT_LIMIT:
+        raise ValueError(f"p must be <= 2^{FLT_LIMIT.bit_length() - 1}, got {p}")
+    if precision < 2:
+        raise PrecisionTooLow(f"need 2 digits to read Witt digits 1..1, have {precision}")
+    t, m = _group_table(p, 2), p * p
+    y = next((y for y in range(1, p - 1) if t[y + 1] == (t[y] + 1) % m), None)
+    if y is None:
+        return None
+    if factor_system_phi1(p, 1, y) != 0:
+        raise SelfCheckFailed(f"the lifts mod {p}^2 give (1 + {y})^{p} = 1 + {y}^{p} but phi_1(1, {y}) != 0")
+    total = 1 + y**p
+    report = pk_root(PAdicNumber.from_integer(total, p, precision), 1)
+    if not report.exists:
+        raise SelfCheckFailed(f"phi_1(1, {y}) = 0 but 1 + {y}^{p} has no {p}-th root")
+    return FermatWitness(p, 1, y, total, report.roots[0].unit)

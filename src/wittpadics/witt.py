@@ -65,17 +65,33 @@ def _primitive_root(p: int) -> int:
     return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
+def _group_table(p: int, n: int) -> list:
+    """t[d] = teichmuller(d) mod p^n for every digit d in [0, p).
+
+    The lifts are w^i for w = teichmuller(g) and g a primitive root: one lift
+    and p - 1 products.  The closing product w^(p-1) = 1 (mod p^n) shows that
+    every entry is fixed by the p-power map.
+    """
+    g = _primitive_root(p)
+    w, m = teichmuller(PAdicInt(p, n, g)).residue, p**n
+    table, x, d = [0] * p, 1, 1
+    for _ in range(p - 1):
+        table[d] = x
+        x, d = x * w % m, d * g % p
+    if x != 1:
+        raise SelfCheckFailed(f"the lift of the primitive root {g} has order other than {p - 1} mod {p}^{n}")
+    return table
+
+
 def _lifts(p: int, n: int):
     """lift(d, k): the Teichmuller lift of digit d to k <= n digits, for n-digit conversions.
 
-    If p - 1 <= (n - 1) bits(p), all p lifts are taken to n digits at once, as
-    w^i for w = teichmuller(g) and g a primitive root: one lift and p - 1
-    products, against about 2.6 pows of log2 p squarings per lifted digit.
-    The closing product w^(p-1) = 1 (mod p^n) shows that every entry is fixed
-    by the p-power map.  When p > n the table outgrows the n lifts a vector
-    can use, so it is then kept below 2^26 bits.  Otherwise each distinct
-    digit is lifted at the k digits of its first use, and again for a later
-    use that asks for more.  A lift may hold more than k digits.
+    If p - 1 <= (n - 1) bits(p), all p lifts are taken to n digits at once by
+    _group_table: one lift and p - 1 products, against about 2.6 pows of
+    log2 p squarings per lifted digit.  When p > n the table outgrows the n
+    lifts a vector can use, so it is then kept below 2^26 bits.  Otherwise
+    each distinct digit is lifted at the k digits of its first use, and again
+    for a later use that asks for more.  A lift may hold more than k digits.
     """
     bits = p.bit_length()
     if p - 1 > (n - 1) * bits or p > n and p * n * bits > 2**26:
@@ -89,14 +105,7 @@ def _lifts(p: int, n: int):
             return w
 
         return lift
-    g = _primitive_root(p)
-    w, m = teichmuller(PAdicInt(p, n, g)).residue, p**n
-    table, x, d = [0] * p, 1, 1
-    for _ in range(p - 1):
-        table[d] = x
-        x, d = x * w % m, d * g % p
-    if x != 1:
-        raise SelfCheckFailed(f"the lift of the primitive root {g} has order other than {p - 1} mod {p}^{n}")
+    table = _group_table(p, n)
     return lambda d, k: table[d]
 
 

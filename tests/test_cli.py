@@ -248,8 +248,10 @@ def test_domain_error_exits_one(capsys):
 
 @pytest.mark.parametrize("output", ["human", "json"])
 def test_failed_self_check_exits_one_without_a_traceback(capsys, monkeypatch, output):
-    # With every carry forced to 0, the search takes y = 1, and 1 + 1^5 = 2 has
-    # no 5th root in Z_5: the witness check fails as a typed error, exit 1.
+    # With the lift table planted as t[d] = d and every carry forced to 0, the
+    # search takes y = 1, and 1 + 1^5 = 2 has no 5th root in Z_5: the witness
+    # check fails as a typed error, exit 1.
+    monkeypatch.setattr(wittpadics.roots, "_group_table", lambda p, n: list(range(p)))
     monkeypatch.setattr(wittpadics.roots, "factor_system_phi1", lambda p, x, y: 0)
     code, out, err = run(capsys, ["flt-witness", "--p", "5", "--output", output])
     assert code == 1
@@ -260,6 +262,31 @@ def test_failed_self_check_exits_one_without_a_traceback(capsys, monkeypatch, ou
     else:
         assert out == ""
         assert err == "error: phi_1(1, 1) = 0 but 1 + 1^5 has no 5-th root\n"
+
+
+@pytest.mark.parametrize("output", ["human", "json"])
+def test_table_hit_that_phi1_rejects_exits_one(capsys, monkeypatch, output):
+    # The planted table claims (1 + 1)^5 = 1 + 1^5 mod 25; phi_1(1, 1) = 1 at p = 5.
+    monkeypatch.setattr(wittpadics.roots, "_group_table", lambda p, n: list(range(p)))
+    code, out, err = run(capsys, ["flt-witness", "--p", "5", "--output", output])
+    message = "the lifts mod 5^2 give (1 + 1)^5 = 1 + 1^5 but phi_1(1, 1) != 0"
+    assert code == 1
+    if output == "json":
+        assert (json.loads(out), err) == ({"ok": False, "precision": 8, "reason": message}, "")
+    else:
+        assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("output", ["human", "json"])
+def test_flt_witness_precision_one_is_too_low_for_every_p(capsys, p, output):
+    code, out, err = run(capsys, ["flt-witness", "--p", str(p), "--precision", "1", "--output", output])
+    message = "need 2 digits to read Witt digits 1..1, have 1"
+    assert code == 1
+    if output == "json":
+        assert (json.loads(out), err) == ({"ok": False, "precision": 1, "reason": message}, "")
+    else:
+        assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -284,6 +311,8 @@ def test_usage_errors_exit_two(capsys):
         (["root", "--p", "5", "--degree", "0", "--value", "2"], "degree must be >= 1, got 0"),
         (["root", "--p", "5", "--degree", "-5", "--value", "2"], "degree must be >= 1, got -5"),
         (["wieferich", "--base", "2", "--limit", str(10**13)], f"limit must be <= 2^40, got {10**13}"),
+        (["flt-witness", "--p", "65537"], "p must be <= 2^16, got 65537"),
+        (["flt-witness", "--p", str(2**64 - 59)], f"p must be <= 2^16, got {2**64 - 59}"),
     ],
 )
 @pytest.mark.parametrize("output", ["human", "json"])

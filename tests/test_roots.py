@@ -550,6 +550,35 @@ def test_flt_witness_small_primes_none():
     assert flt_local_witness(5) is None
 
 
+def test_flt_witness_is_the_least_closed_form_hit():
+    for p in sympy.primerange(3, 3000):
+        m = p * p
+        hit = next((y for y in range(1, p - 1) if pow(1 + y, p, m) == (1 + pow(y, p, m)) % m), None)
+        w = flt_local_witness(p)
+        assert (w and w.y) == hit, p
+
+
+@pytest.mark.parametrize("p,y", [(1009, 374), (65519, None), (65521, 16673)])
+def test_flt_witness_pinned(p, y):
+    w = flt_local_witness(p)
+    assert (w and w.y) == y
+    if w is not None:
+        assert (w.x, w.sum) == (1, 1 + y**p)
+        assert pow(w.root.residue, p, p**6) == w.sum % p**6
+
+
+@pytest.mark.parametrize("p", [65537, 2**64 - 59])
+def test_flt_witness_rejects_p_above_limit(p):
+    with pytest.raises(ValueError, match=f"p must be <= 2\\^16, got {p}"):
+        flt_local_witness(p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_flt_witness_needs_two_digits(p):
+    with pytest.raises(PrecisionTooLow, match="need 2 digits to read Witt digits 1..1, have 1"):
+        flt_local_witness(p, precision=1)
+
+
 def test_flt_witness_matches_phi1_scan():
     for p in (11, 13, 17, 19, 1009):
         hits = [y for y in range(1, p - 1) if oracles.phi1_by_sum(p, 1, y) == 0]
