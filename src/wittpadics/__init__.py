@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     ExactDivisionFailure,
     InvalidDegree,
-    LengthLimit,
     MismatchedRing,
     NotAUnit,
     NotPrime,
@@ -27,11 +26,8 @@ from .errors import (
     ZeroInput,
 )
 from .padic import (
-    GHOST_LENGTH_CAP,
-    GhostSequence,
     PAdicInt,
     PAdicNumber,
-    ghost_sequence,
     hensel_kth_root,
     kth_power_residue_test,
     padic_valuation,
@@ -57,7 +53,6 @@ from .roots import (
 from .witt import (
     WittVector,
     factor_system_phi1,
-    integer_to_witt,
     padic_to_witt,
     witt_add,
     witt_digits,

@@ -22,8 +22,7 @@ from .errors import (
     ValuationCondition,
     ZeroInput,
 )
-from .padic import PAdicInt, PAdicNumber, Record, _lift_root, _setattr, teichmuller, unit_inverse
-from .witt import witt_digits
+from .padic import PAdicInt, PAdicNumber, Record, _lift_root, _setattr, padic_valuation, teichmuller, unit_inverse
 
 
 def _require_principal(x: PAdicInt) -> None:
@@ -197,19 +196,23 @@ def _check_pk_root(x: PAdicNumber, k: int) -> None:
 
     A root exists iff p^k divides the valuation and Witt digits 1..k of the
     unit part are zero; at p = 2 digit k + 1 must be zero too, since the
-    2^k-th powers of units are the units = 1 (mod 2^(k+2)).  Only those
-    digits are peeled, so this needs k + 1 digits of precision (k + 2 at p = 2).
+    2^k-th powers of units are the units = 1 (mod 2^(k+2)).  One power reads
+    those digits: if u = teichmuller(u_0) * (1 + p^j c) with c a unit, the
+    first nonzero digit is u_j, and u^(p-1) = 1 + (p-1) p^j c + ... has
+    valuation exactly j after subtracting 1.  At p = 2 the lifts are 0 and 1,
+    so Witt digits are binary digits, and u^(p-1) - 1 = u - 1 reads them with
+    no branch.  This needs k + 1 digits of precision (k + 2 at p = 2).
     """
-    K = x.unit.precision
-    if x.valuation % x.p**k != 0:
-        raise ValuationCondition(f"valuation {x.valuation} is not divisible by {x.p}^{k}")
-    last = k + (x.p == 2)
+    p, K = x.p, x.unit.precision
+    if x.valuation and padic_valuation(x.valuation, p) < k:
+        raise ValuationCondition(f"valuation {x.valuation} is not divisible by {p}^{k}")
+    last = k + (p == 2)
     if K < last + 1:
         raise PrecisionTooLow(f"need {last + 1} digits to read Witt digits 1..{last}, have {K}")
-    digits = witt_digits(x.unit, last + 1)
-    for i in range(1, last + 1):
-        if digits[i]:
-            raise RootCondition(f"Witt digit {i} of the unit part is nonzero", digit_index=i)
+    r = pow(x.unit.residue, p - 1, p ** (last + 1)) - 1
+    if r:
+        i = padic_valuation(r, p)
+        raise RootCondition(f"Witt digit {i} of the unit part is nonzero", digit_index=i)
 
 
 def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:

@@ -21,10 +21,6 @@ class ExactDivisionFailure(PadicError):
     """A division that must be exact left a remainder."""
 
 
-class LengthLimit(PadicError):
-    """Requested ghost sequence exceeds the length cap or the bit budget."""
-
-
 class MismatchedRing(PadicError):
     """Operands live over different primes or incompatible shapes."""
 

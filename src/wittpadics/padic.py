@@ -14,7 +14,6 @@ from operator import attrgetter
 from .errors import (
     ExactDivisionFailure,
     InvalidDegree,
-    LengthLimit,
     MismatchedRing,
     NotAUnit,
     PrecisionTooLow,
@@ -23,11 +22,6 @@ from .errors import (
     ZeroInput,
 )
 from .primes import check_prime
-
-#: Ghost-sequence entries grow like n**(p**k): the cap bounds k, and a sequence
-#: whose last entry would pass the bit budget, bits(n) * p**k, is refused.
-GHOST_LENGTH_CAP = 8
-GHOST_BIT_BUDGET = 2**20
 
 
 def padic_valuation(n: int, p: int) -> int:
@@ -254,55 +248,6 @@ def hensel_kth_root(a: PAdicInt, k: int) -> tuple[PAdicInt, ...]:
             if len(base) == g:
                 break
     return tuple(_lift_root(a, k, r) for r in base)
-
-
-class GhostSequence(Record):
-    """Exact integers a_0..a_k with constant ghost values, plus quotients.
-
-    quotients holds q_i = -a_i / n, exact integers when p does not divide n,
-    and is None when p divides n.
-    """
-
-    __slots__ = ("p", "n", "entries", "quotients")
-
-    def __init__(self, p: int, n: int, entries: tuple[int, ...], quotients: tuple[int, ...] | None):
-        _setattr(self, "p", p)
-        _setattr(self, "n", n)
-        _setattr(self, "entries", entries)
-        _setattr(self, "quotients", quotients)
-
-
-def ghost_sequence(p: int, n: int, length: int) -> GhostSequence:
-    """Entries a_0 = n, a_1, ..., a_length keeping every ghost value equal to n.
-
-    Each next entry is sum((a_i^(p^(k-i)) - a_i^(p^(k-i+1))) / p^(k-i+1), i <= k);
-    every division is exact in integers, which is verified term by term.
-    """
-    check_prime(p)
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if length > GHOST_LENGTH_CAP:
-        raise LengthLimit(f"ghost length {length} exceeds the cap {GHOST_LENGTH_CAP}")
-    if max(1, abs(n).bit_length()) * p**length > GHOST_BIT_BUDGET:
-        raise LengthLimit(f"ghost entries for n = {n}, p = {p}, length {length} pass {GHOST_BIT_BUDGET} bits")
-    entries = [n]
-    for k in range(length):
-        acc = 0
-        for i in range(k + 1):
-            num = entries[i] ** (p ** (k - i)) - entries[i] ** (p ** (k - i + 1))
-            q, r = divmod(num, p ** (k - i + 1))
-            if r:
-                raise ExactDivisionFailure(
-                    f"ghost recursion term (i={i}, k={k}) is not divisible by {p}^{k - i + 1}"
-                )
-            acc += q
-        entries.append(acc)
-    quotients = None
-    if n % p:
-        if any(a_i % n for a_i in entries):
-            raise ExactDivisionFailure(f"a ghost entry is not divisible by n = {n}")
-        quotients = tuple(-a_i // n for a_i in entries)
-    return GhostSequence(p, n, tuple(entries), quotients)
 
 
 class PAdicNumber(Record):

@@ -144,11 +144,6 @@ def padic_to_witt(x: PAdicInt, lift=None) -> WittVector:
     return WittVector(x.p, witt_digits(x, x.precision, lift))
 
 
-def integer_to_witt(n: int, p: int, length: int) -> WittVector:
-    """Witt digits of an integer: those of its residue mod p^length."""
-    return padic_to_witt(PAdicInt(p, length, n))
-
-
 def _aligned(x: WittVector, y: WittVector):
     """x and y truncated to their common length k, and one _lifts(p, k) table for the operation."""
     if x.p != y.p:

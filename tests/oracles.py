@@ -3,12 +3,12 @@
 Everything here deliberately avoids the code paths under test: inverses come
 from the extended gcd, Teichmuller lifts from exhaustive search or from the
 p-power map applied K - 1 times, Witt digits from peeling those lifts off one
-digit at a time, ghost entries from solving the ghost identity directly (not
-the recursion), roots from brute-force scans, the length-2 carry from its
-defining p-term sum, and the analytic maps from exact Fraction series, or,
-at high precision, from their plain term-by-term series mod p^K.  Roots at
-high precision come from the polar route, the library's own `teichmuller`,
-`plog` and `pexp`, which its root path does not run.
+digit at a time, ghost entries from the recursion and, independently, from
+solving the ghost identity directly, roots from brute-force scans, the
+length-2 carry from its defining p-term sum, and the analytic maps from exact
+Fraction series, or, at high precision, from their plain term-by-term series
+mod p^K.  Roots at high precision come from the polar route, the library's
+own `teichmuller`, `plog` and `pexp`, which its root path does not run.
 """
 
 from fractions import Fraction
@@ -94,6 +94,27 @@ def ghost_entries_by_solving(p: int, n: int, length: int) -> list[int]:
         assert r == 0, "ghost identity is not solvable in integers"
         entries.append(q)
     return entries
+
+
+def ghost_by_recursion(p: int, n: int, length: int) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """Entries a_0 = n, ..., a_length keeping every ghost value equal to n, and q_i = -a_i / n.
+
+    Each next entry is sum((a_i^(p^(k-i)) - a_i^(p^(k-i+1))) / p^(k-i+1), i <= k),
+    every division exact.  The quotients are None when p divides n.  Entries
+    grow like n^(p^k), so keep p^length small.
+    """
+    entries = [n]
+    for k in range(length):
+        acc = 0
+        for i in range(k + 1):
+            q, r = divmod(entries[i] ** (p ** (k - i)) - entries[i] ** (p ** (k - i + 1)), p ** (k - i + 1))
+            assert r == 0, f"ghost recursion term (i={i}, k={k}) is not divisible by {p}^{k - i + 1}"
+            acc += q
+        entries.append(acc)
+    if n % p == 0:
+        return tuple(entries), None
+    assert all(a_i % n == 0 for a_i in entries), f"a ghost entry is not divisible by n = {n}"
+    return tuple(entries), tuple(-a_i // n for a_i in entries)
 
 
 def classical_fermat_quotient(n: int, p: int) -> int:

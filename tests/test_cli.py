@@ -14,7 +14,6 @@ from wittpadics import (
     PAdicInt,
     PAdicNumber,
     fermat_quotient,
-    integer_to_witt,
     padic_to_witt,
     pexp,
     plog,
@@ -95,7 +94,7 @@ def test_convert_json_round_trip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True and payload["precision"] == 3
-    assert payload["result"]["witt"] == integer_to_witt(2, 3, 3).to_json_dict()
+    assert payload["result"]["witt"] == padic_to_witt(PAdicInt(3, 3, 2)).to_json_dict()
 
 
 def test_convert_rational_value(capsys):

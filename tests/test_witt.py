@@ -16,8 +16,6 @@ from wittpadics import (
     SelfCheckFailed,
     WittVector,
     factor_system_phi1,
-    ghost_sequence,
-    integer_to_witt,
     padic_to_witt,
     witt,
     witt_add,
@@ -262,9 +260,9 @@ def test_unit_first_two_digits_formula():
 
 
 def test_integer_to_witt_examples():
-    assert integer_to_witt(2, 3, 3).digits == (2, 1, 0)
-    assert integer_to_witt(3, 11, 2).digits == (3, 0)
-    assert integer_to_witt(1, 7, 4).digits == (1, 0, 0, 0)
+    assert padic_to_witt(PAdicInt(3, 3, 2)).digits == (2, 1, 0)
+    assert padic_to_witt(PAdicInt(11, 2, 3)).digits == (3, 0)
+    assert padic_to_witt(PAdicInt(7, 4, 1)).digits == (1, 0, 0, 0)
 
 
 def test_integer_embedding_matches_digit_peeling():
@@ -278,19 +276,20 @@ def test_integer_embedding_matches_digit_peeling():
         n = rng.randint(2, 5000) * rng.choice((1, -1))
         if n % p == 0:
             continue
-        quotients = ghost_sequence(p, n, k - 1).quotients
-        assert integer_to_witt(n, p, k).digits == tuple(-n * q % p for q in quotients)
+        _, quotients = oracles.ghost_by_recursion(p, n, k - 1)
+        assert padic_to_witt(PAdicInt(p, k, n)).digits == tuple(-n * q % p for q in quotients)
         checked += 1
 
 
 def test_integer_to_witt_multiple_of_p_falls_back():
-    assert integer_to_witt(6, 3, 3) == padic_to_witt(PAdicInt(3, 3, 6))
+    # p divides n, so the ghost quotients -a_i / n do not give the digits; the peel does
+    assert padic_to_witt(PAdicInt(3, 3, 6)).digits == oracles.witt_digits_by_peel(3, 3, 6)
 
 
 def test_integer_to_witt_of_a_large_integer():
     # ghost-sequence entries for n = 10^6 grow like n^(p^k): length 5 at p = 101 is out of reach
     for length in (4, 5):
-        assert integer_to_witt(10**6, 101, length) == padic_to_witt(PAdicInt(101, length, 10**6))
+        assert padic_to_witt(PAdicInt(101, length, 10**6)).digits == oracles.witt_digits_by_peel(101, length, 10**6)
 
 
 def rational_witt(m, n, p, length):
@@ -354,7 +353,7 @@ def test_mixed_length_truncates():
 
 
 def test_witt_neg_and_inv():
-    w = integer_to_witt(2, 5, 3)
+    w = padic_to_witt(PAdicInt(5, 3, 2))
     assert witt_add(w, witt_neg(w)).digits == (0, 0, 0)
     assert witt_mul(w, witt_inv(w)).digits == (1, 0, 0)
     with pytest.raises(NotAUnit):
@@ -364,7 +363,7 @@ def test_witt_neg_and_inv():
 def test_inverse_formula_digits():
     # the inverse of the integer embedding starts (n^-1, n^-1 q_1(n), ...)
     for p, n in ((5, 2), (7, 3), (11, 2), (13, 5)):
-        inv = witt_inv(integer_to_witt(n, p, 3))
+        inv = witt_inv(padic_to_witt(PAdicInt(p, 3, n)))
         n_inv = pow(n, -1, p)
         q1 = oracles.classical_fermat_quotient(n, p)
         assert inv.digits[0] == n_inv
