@@ -22,7 +22,7 @@ from .errors import (
     ValuationCondition,
     ZeroInput,
 )
-from .padic import PAdicInt, PAdicNumber, Record, _lift_root, _setattr, padic_valuation, teichmuller, unit_inverse
+from .padic import PAdicInt, PAdicNumber, Record, _lift_root, _setattr, padic_valuation, teichmuller
 
 
 def _require_principal(x: PAdicInt) -> None:
@@ -128,24 +128,22 @@ def pexp(theta: PAdicInt) -> PAdicInt:
 
 
 class PolarForm(Record):
-    """Factorization p^valuation * teichmuller(teich_digit) * exp(argument)."""
+    """Factorization p^valuation * teichmuller(teich_digit) * exp(argument); argument is a PAdicInt, the rest ints."""
 
     __slots__ = ("p", "valuation", "teich_digit", "argument")
 
-    def __init__(self, p: int, valuation: int, teich_digit: int, argument: PAdicInt):
-        _setattr(self, "p", p)
-        _setattr(self, "valuation", valuation)
-        _setattr(self, "teich_digit", teich_digit)
-        _setattr(self, "argument", argument)
-
 
 def polar(x: PAdicNumber) -> PolarForm:
-    """Split a nonzero number into its module and argument."""
+    """Split a nonzero number into its module and argument.
+
+    With w the Teichmuller lift of the unit u, w^(p-1) = 1, so the argument
+    log(u/w) is log(u^(p-1)) / (p-1) and takes no lift.
+    """
     if x.is_zero:
         raise ZeroInput("zero has no polar form")
-    digit = x.unit.residue % x.p
-    lift = teichmuller(PAdicInt(x.p, x.unit.precision, digit))
-    return PolarForm(x.p, x.valuation, digit, plog(x.unit * unit_inverse(lift)))
+    p, u = x.p, x.unit
+    theta = plog(PAdicInt(p, u.precision, pow(u.residue, p - 1, u.modulus)))
+    return PolarForm(p, x.valuation, u.residue % p, theta * pow(p - 1, -1, u.modulus))
 
 
 def recompose(form: PolarForm) -> PAdicNumber:

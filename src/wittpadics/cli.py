@@ -13,7 +13,7 @@ import sys
 
 from .analytic import ExactExponent, pexp, plog, polar, ppow
 from .errors import NotPrime, PadicError
-from .padic import PAdicInt, PAdicNumber, Record, _setattr, padic_valuation, teichmuller
+from .padic import PAdicInt, PAdicNumber, Record, padic_valuation, teichmuller
 from .primes import check_prime
 from .roots import (
     RootReason,
@@ -211,16 +211,12 @@ def _flt_witness(args, p: int, precision: int):
 class Command(Record):
     """One subcommand: its help text, extra arguments, handler, and whether it needs --p.
 
-    arguments holds (flag, add_argument keywords) pairs.
+    help (str), arguments (tuple of (flag, add_argument keywords) pairs),
+    handler (called with the parsed arguments, p and precision), needs_p (bool).
     """
 
     __slots__ = ("help", "arguments", "handler", "needs_p")
-
-    def __init__(self, help: str, arguments: tuple, handler, needs_p: bool = True):
-        _setattr(self, "help", help)
-        _setattr(self, "arguments", arguments)
-        _setattr(self, "handler", handler)
-        _setattr(self, "needs_p", needs_p)
+    _defaults = {"needs_p": True}
 
 
 _VALUE = ("--value", {"required": True, "help": "integer, or rational m/n where accepted"})

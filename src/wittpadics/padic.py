@@ -44,15 +44,34 @@ _setattr = object.__setattr__
 class Record:
     """Base of the immutable value classes.
 
-    A subclass names its fields, at least two, in __slots__ and sets them in
-    its own __init__ through _setattr.  An instance equals only an
-    instance of the same class with equal fields, and hashes and prints by
-    its fields in slot order.  Assignment and deletion raise AttributeError;
-    __reduce__ rebuilds an instance through __init__, so pickle and copy
-    still work.
+    A subclass names its fields, at least two, in __slots__, and defaults for
+    trailing ones in _defaults.  __init__ binds its arguments to the fields
+    in slot order and raises TypeError, naming the class, for a wrong
+    argument; a subclass that reduces or validates its fields overrides it
+    and sets them through _setattr.  An instance equals only an instance of
+    the same class with equal fields, and hashes and prints by its fields in
+    slot order.  Assignment and deletion raise AttributeError; __reduce__
+    rebuilds an instance through __init__, so pickle and copy still work.
     """
 
     __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            cls, rest = self.__class__.__qualname__, names[len(args) :]
+            if len(args) > len(names):
+                raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
+            for name in kwargs.keys() - set(rest):
+                raise TypeError(f"{cls}() got an unknown or repeated field {name!r}")
+            values = {**self._defaults, **kwargs}
+            for name in rest:
+                if name not in values:
+                    raise TypeError(f"{cls}() missing field {name!r}")
+            args += tuple(values[name] for name in rest)
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
 
     def __init_subclass__(cls):
         super().__init_subclass__()

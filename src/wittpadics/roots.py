@@ -19,7 +19,7 @@ from .errors import (
     WrongPrime,
     ZeroInput,
 )
-from .padic import PAdicInt, PAdicNumber, Record, _setattr, hensel_kth_root, kth_power_residue_test, padic_valuation
+from .padic import PAdicInt, PAdicNumber, Record, hensel_kth_root, padic_valuation
 from .padic import _lift_root
 from .primes import check_prime, odd_prime_segments
 from .witt import _group_table, factor_system_phi1, witt_digits
@@ -34,70 +34,41 @@ class RootReason(enum.Enum):
 
 
 class RootCheck(Record):
-    """Outcome of an existence test, before any root is constructed."""
+    """Outcome of an existence test: ok (bool), reason (RootReason), digit_index (int or None).
+
+    digit_index is the first nonzero Witt digit when reason is WITT_DIGIT_NONZERO.
+    """
 
     __slots__ = ("ok", "reason", "digit_index")
-
-    def __init__(self, ok: bool, reason: RootReason, digit_index: int | None = None):
-        _setattr(self, "ok", ok)
-        _setattr(self, "reason", reason)
-        _setattr(self, "digit_index", digit_index)
+    _defaults = {"digit_index": None}
 
 
 class RootReport(Record):
-    """Roots of a given degree, or the first obstruction met.
+    """Roots of a given degree, or the first obstruction met; reason and digit_index as in RootCheck.
 
-    exists iff roots is non-empty; every root raised to the degree
-    reproduces the input at its full input precision, while the roots
-    themselves are determined to output_precision digits.  A failed report
-    carries the input precision.
+    exists (bool) iff roots (tuple of PAdicNumber) is non-empty; every root
+    raised to the degree reproduces the input at its full input precision,
+    while the roots themselves are determined to output_precision (int)
+    digits.  A failed report carries the input precision.
     """
 
     __slots__ = ("exists", "reason", "digit_index", "roots", "output_precision")
 
-    def __init__(
-        self,
-        exists: bool,
-        reason: RootReason,
-        digit_index: int | None,
-        roots: tuple[PAdicNumber, ...],
-        output_precision: int,
-    ):
-        _setattr(self, "exists", exists)
-        _setattr(self, "reason", reason)
-        _setattr(self, "digit_index", digit_index)
-        _setattr(self, "roots", roots)
-        _setattr(self, "output_precision", output_precision)
-
 
 class QuotientCongruenceReport(Record):
-    """Both sides of the root/quotient congruence, reduced mod p."""
+    """Both sides of the root/quotient congruence, reduced mod p: holds (bool) and four ints in [0, p)."""
 
     __slots__ = ("holds", "root_quotient", "scaled_quotient", "digit_value", "digit_predicted")
-
-    def __init__(self, holds: bool, root_quotient: int, scaled_quotient: int, digit_value: int, digit_predicted: int):
-        _setattr(self, "holds", holds)
-        _setattr(self, "root_quotient", root_quotient)
-        _setattr(self, "scaled_quotient", scaled_quotient)
-        _setattr(self, "digit_value", digit_value)
-        _setattr(self, "digit_predicted", digit_predicted)
 
 
 class FermatWitness(Record):
     """Residue pair with vanishing carry whose p-th-power sum has a p-th root.
 
-    (x, y, -root) solves X^p + Y^p + Z^p = 0 in the p-adic integers: the
-    root satisfies root^p = x^p + y^p, so negating it moves the sum to zero.
+    p, x, y and sum = x^p + y^p are ints and root a PAdicInt with root^p = sum,
+    so (x, y, -root) solves X^p + Y^p + Z^p = 0 in the p-adic integers.
     """
 
     __slots__ = ("p", "x", "y", "sum", "root")
-
-    def __init__(self, p: int, x: int, y: int, sum: int, root: PAdicInt):
-        _setattr(self, "p", p)
-        _setattr(self, "x", x)
-        _setattr(self, "y", y)
-        _setattr(self, "sum", sum)
-        _setattr(self, "root", root)
 
 
 def _require_unit(x: PAdicNumber) -> PAdicInt:
@@ -147,11 +118,11 @@ def pk_root_exists(x: PAdicNumber, k: int) -> RootCheck:
     try:
         _check_pk_root(x, k)
     except ValuationCondition:
-        return RootCheck(False, RootReason.VALUATION_NOT_DIVISIBLE)
+        return RootCheck(False, RootReason.VALUATION_NOT_DIVISIBLE, None)
     except RootCondition as exc:
         check = RootCheck(False, RootReason.WITT_DIGIT_NONZERO, exc.digit_index)
     else:
-        check = RootCheck(True, RootReason.OK)
+        check = RootCheck(True, RootReason.OK, None)
     if k == 1:
         _k1_cross_check(x.unit, digit_ok=check.ok)
     return check
@@ -222,10 +193,10 @@ def sqrt_2adic(x: PAdicNumber) -> RootReport:
 def general_root(x: PAdicNumber, m: int) -> RootReport:
     """All m-th roots of x for odd p, splitting m into p^v times m'.
 
-    The unit part passes in order: the digit criterion for its p^v-th root,
-    the m'-th power residue test, then its one p^v-th root, the one that is
-    the unit mod p, is lifted by Newton's method, and that root's
-    gcd(m', p-1) m'-th roots are Hensel-lifted.  The first failure is
+    The unit part must pass the digit criterion for its p^v-th root.  Its
+    one p^v-th root, the one that is the unit mod p, is lifted by Newton's
+    method, and hensel_kth_root gives that root's gcd(m', p-1) m'-th roots,
+    or none when the m'-th power residue test fails.  The first failure is
     reported.  Roots are determined to K - v digits.
     """
     if x.is_zero:
@@ -247,11 +218,11 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
         check = pk_root_exists(unit, v)
         if not check.ok:
             return RootReport(False, check.reason, check.digit_index, (), K)
-    # The p^v-th root is x.unit mod p, so this is the verdict Hensel would give.
-    if not kth_power_residue_test(p, x.unit.residue, m_prime):
-        return RootReport(False, RootReason.NOT_KTH_RESIDUE, None, (), K)
     root = _lift_root(x.unit, p**v, x.unit.residue) if v else x.unit
+    # The p^v-th root is x.unit mod p, so Hensel's residue test gives the verdict for x.
     roots = sorted(hensel_kth_root(root, m_prime) if m_prime > 1 else (root,), key=lambda r: r.residue)
+    if not roots:
+        return RootReport(False, RootReason.NOT_KTH_RESIDUE, None, (), K)
     w = x.valuation // m
     return RootReport(True, RootReason.OK, None, tuple(PAdicNumber(p, w, r) for r in roots), K - v)
 

@@ -7,11 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import wittpadics
 from wittpadics import (
     DomainError,
     ExactExponent,
     PAdicInt,
     PAdicNumber,
+    PolarForm,
     RootCondition,
     ValuationCondition,
     WittVector,
@@ -24,6 +26,7 @@ from wittpadics import (
     recompose,
     sqrt_2adic,
     teichmuller,
+    unit_inverse,
     witt_to_padic,
 )
 
@@ -208,6 +211,31 @@ def test_polar_recomposition():
             continue
         x = PAdicNumber(p, rng.randint(-3, 3), PAdicInt(p, k, r))
         assert recompose(polar(x)) == x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 101, 1000003, 2**61 - 1])
+def test_polar_builds_no_teichmuller_lift(monkeypatch, p):
+    rng = random.Random(p)
+    cases = []
+    for K in (1, 2, 3, 8, 33, 64):
+        if p == 2 and K < 2:
+            continue
+        r = 4 * rng.randrange(p**K) + 1 if p == 2 else rng.randrange(1, p**K)
+        if r % p == 0:
+            r += 1
+        x = PAdicNumber(p, rng.randint(-2, 2), PAdicInt(p, K, r))
+        lift = teichmuller(PAdicInt(p, K, r % p))
+        cases.append((x, PolarForm(p, x.valuation, r % p, plog(x.unit * unit_inverse(lift)))))
+
+    def refuse(*args):
+        raise AssertionError("polar built a Teichmuller lift")
+
+    monkeypatch.setattr(wittpadics.analytic, "teichmuller", refuse)
+    for x, want in cases:
+        assert polar(x) == want
+    if p == 2:
+        with pytest.raises(DomainError, match=r"^log requires x = 1 \(mod 4\), got x = 3 \(mod 4\)$"):
+            polar(PAdicNumber(2, 1, PAdicInt(2, 6, 7)))
 
 
 def test_de_moivre_examples_and_random():

@@ -443,6 +443,30 @@ def test_general_root_not_kth_residue():
     assert (report.exists, report.reason) == (False, RootReason.NOT_KTH_RESIDUE)
 
 
+@pytest.mark.parametrize(
+    "m,x,reason",
+    [
+        (2, 64, RootReason.OK),
+        (2, 3, RootReason.NOT_KTH_RESIDUE),
+        (14, pow(3, 14, 7**4), RootReason.OK),
+        (14, pow(3, 7, 7**4), RootReason.NOT_KTH_RESIDUE),
+    ],
+)
+def test_general_root_runs_one_residue_test(monkeypatch, m, x, reason):
+    calls = []
+    residue_test = wittpadics.padic.kth_power_residue_test
+
+    def counted(*args):
+        calls.append(args)
+        return residue_test(*args)
+
+    for module in (wittpadics.padic, wittpadics.roots):
+        monkeypatch.setattr(module, "kth_power_residue_test", counted, raising=False)
+    report = general_root(PAdicNumber.from_integer(x, 7, 4), m)
+    assert report.reason is reason and report.exists == (reason is RootReason.OK)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("K", [3, 4, 7])
 def test_failed_reports_carry_the_input_precision(K):
     p = 5

@@ -26,6 +26,8 @@ from wittpadics import (
     RootReport,
     WittVector,
 )
+from wittpadics.cli import Command
+from wittpadics.padic import Record
 
 # (class, field names, field values, values differing in one field, repr)
 CASES = [
@@ -204,3 +206,53 @@ def test_padic_number_validates():
         PAdicNumber(5, 1, None)
     with pytest.raises(NotPrime):
         PAdicNumber(9, 0, None)
+
+
+# The six classes that take Record's own constructor, with one full set of field values.
+PLAIN = [case[:3] for case in CASES if case[0] not in (PAdicInt, PAdicNumber, WittVector, ExactExponent)] + [
+    (Command, ("help", "arguments", "handler", "needs_p"), ("help", (), print, False))
+]
+
+
+@pytest.mark.parametrize("cls,names,values", PLAIN, ids=[case[0].__name__ for case in PLAIN])
+def test_wrong_arguments_raise_type_error_naming_the_class(cls, names, values):
+    name = cls.__qualname__
+    with pytest.raises(TypeError, match=rf"^{name}\(\) takes {len(names)} arguments but {len(names) + 1} were given"):
+        cls(*values, 0)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing field {names[1]!r}"):
+        cls(values[0])
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing field {names[0]!r}"):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got an unknown or repeated field 'colour'"):
+        cls(*values, colour=1)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got an unknown or repeated field {names[0]!r}"):
+        cls(*values[:-1], **{names[0]: values[0], names[-1]: values[-1]})
+
+
+@pytest.mark.parametrize("cls,names,values", PLAIN, ids=[case[0].__name__ for case in PLAIN])
+def test_positional_keyword_mixes_agree(cls, names, values):
+    full = cls(*values)
+    for k in range(len(names) + 1):
+        assert cls(*values[:k], **dict(zip(names[k:], values[k:]))) == full
+
+
+def test_defaults_fill_only_omitted_trailing_fields():
+    assert RootCheck._defaults == {"digit_index": None} and Command._defaults == {"needs_p": True}
+    assert RootCheck(False, RootReason.WITT_DIGIT_NONZERO, 2).digit_index == 2
+    assert RootCheck(False, RootReason.WITT_DIGIT_NONZERO, digit_index=2).digit_index == 2
+    assert RootCheck(ok=True, reason=RootReason.OK).digit_index is None
+    assert Command("h", (), print).needs_p is True
+    assert Command("h", (), print, False).needs_p is False
+    assert Command("h", (), print, needs_p=False).needs_p is False
+    with pytest.raises(TypeError, match=r"^RootCheck\(\) missing field 'reason'"):
+        RootCheck(True, digit_index=None)
+    with pytest.raises(TypeError, match=r"^Command\(\) missing field 'handler'"):
+        Command("h", (), needs_p=False)
+    for cls in (PolarForm, RootReport, QuotientCongruenceReport, FermatWitness):
+        assert cls._defaults == {}
+
+
+def test_only_the_validating_classes_define_a_constructor():
+    seen = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("wittpadics.")}
+    assert {cls.__name__ for cls in seen} == set(IDS) | {"Command"}
+    assert {cls for cls in seen if "__init__" in cls.__dict__} == {PAdicInt, PAdicNumber, WittVector, ExactExponent}
