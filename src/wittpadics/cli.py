@@ -114,6 +114,9 @@ def _root_failure_reason(report, value: PAdicNumber, value_text: str, degree: in
     if report.reason is RootReason.VALUATION_NOT_DIVISIBLE:
         return f"valuation {value.valuation} is not divisible by {degree}"
     if report.reason is RootReason.WITT_DIGIT_NONZERO:
+        if p == 2:
+            # Exact only while the CLI takes --degree 2 alone at p = 2; fermat_quotient raises there.
+            return "unit is not 1 mod 8"
         msg = f"Witt digit {report.digit_index} nonzero"
         if report.digit_index == 1 and not value.is_zero and value.valuation == 0:
             q = fermat_quotient(value)
@@ -121,8 +124,6 @@ def _root_failure_reason(report, value: PAdicNumber, value_text: str, degree: in
         return msg
     if report.reason is RootReason.NOT_KTH_RESIDUE:
         return f"{value_text} is not a {degree}-th power residue mod {p}"
-    if report.reason is RootReason.MOD8_FAILURE:
-        return "unit is not 1 mod 8"
     return report.reason.value
 
 

@@ -18,7 +18,6 @@ from .errors import (
     NotAUnit,
     PrecisionTooLow,
     SelfCheckFailed,
-    WrongPrime,
     ZeroInput,
 )
 from .primes import check_prime
@@ -246,19 +245,19 @@ def _lift_root(x: PAdicInt, n: int, r: int) -> PAdicInt:
 
 
 def hensel_kth_root(a: PAdicInt, k: int) -> tuple[PAdicInt, ...]:
-    """All k-th roots of a unit mod p^K, for odd p with p not dividing k.
+    """All k-th roots of a unit mod p^K, for p not dividing k.
 
     There are exactly gcd(k, p-1) roots when the mod-p residue test passes
-    and none otherwise; each mod-p solution lifts uniquely by Newton
-    iteration because the derivative k*x^(k-1) stays a unit.
+    and none otherwise; each lifts uniquely from its residue mod p (the one
+    that is a mod 4 at p = 2) by Newton iteration, as k*x^(k-1) stays a unit.
     """
     p = a.p
-    if p == 2:
-        raise WrongPrime("p = 2 roots are handled by the square-root routine")
     if k < 1:
         raise InvalidDegree(f"degree must be >= 1, got {k}")
     if not kth_power_residue_test(p, a.residue, k):
         return ()
+    if p == 2:
+        return (_lift_root(a, k, a.residue),)
     a0, g = a.residue % p, gcd(k, p - 1)
     base = []
     for r in range(1, p):

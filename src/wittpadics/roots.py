@@ -1,8 +1,8 @@
 """Existence tests and constructions for roots of p-adic numbers.
 
-Covers p^k-th roots of units via the Witt-digit criterion, square roots for
-p = 2, general degrees by splitting off the p-part, Fermat quotients, and
-the number-theoretic searches built on them.
+Covers p^k-th roots via the Witt-digit criterion, for every p, p = 2
+included, general degrees by splitting off the p-part, Fermat quotients,
+and the number-theoretic searches built on them.
 """
 
 import enum
@@ -30,7 +30,6 @@ class RootReason(enum.Enum):
     VALUATION_NOT_DIVISIBLE = "valuation not divisible"
     WITT_DIGIT_NONZERO = "witt digit nonzero"
     NOT_KTH_RESIDUE = "not a k-th power residue"
-    MOD8_FAILURE = "not 1 mod 8"
 
 
 class RootCheck(Record):
@@ -91,8 +90,8 @@ def fermat_quotient(x: PAdicNumber) -> PAdicInt:
 
 
 def _k1_cross_check(unit: PAdicInt, digit_ok: bool) -> None:
-    # The three equivalent degree-p tests must agree; a mismatch is a bug.
-    # Each reads only the unit mod p^2.
+    # The three degree-p tests, equivalent for odd p, must agree; a mismatch is a
+    # bug.  Each reads only the unit mod p^2.  At p = 2 a unit = 5 (mod 8) fails them.
     p = unit.p
     a = unit.residue % p**2
     quot_ok = (pow(a, p - 1, p**2) - 1) // p == 0
@@ -108,11 +107,9 @@ def _k1_cross_check(unit: PAdicInt, digit_ok: bool) -> None:
 
 
 def pk_root_exists(x: PAdicNumber, k: int) -> RootCheck:
-    """Criterion for a p^k-th root: p^k | valuation and unit digits 1..k zero."""
+    """Criterion for a p^k-th root: p^k | valuation and unit digits 1..k zero (1..k+1 at p = 2)."""
     if x.is_zero:
         raise ZeroInput("zero has no root report")
-    if x.p == 2:
-        raise WrongPrime("use the p = 2 square-root routine")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     try:
@@ -123,23 +120,26 @@ def pk_root_exists(x: PAdicNumber, k: int) -> RootCheck:
         check = RootCheck(False, RootReason.WITT_DIGIT_NONZERO, exc.digit_index)
     else:
         check = RootCheck(True, RootReason.OK, None)
-    if k == 1:
+    if k == 1 and x.p != 2:
         _k1_cross_check(x.unit, digit_ok=check.ok)
     return check
 
 
 def pk_root(x: PAdicNumber, k: int) -> RootReport:
-    """The unique p^k-th root of x when the digit criterion holds.
+    """Every p^k-th root of x, sorted by residue, when the digit criterion holds.
 
-    The root is p^(z/p^k) times the root of y^(p^k) = unit that is the unit
-    mod p, lifted by Newton's method; it is determined to K - k digits.
+    y, the root of y^(p^k) = unit that is the unit mod p (mod 4 at p = 2), is
+    lifted by Newton's method.  The roots, to K - k digits, are p^(z/p^k) y
+    and, at p = 2, where 1 and -1 are the only 2-power roots of unity, -p^(z/p^k) y.
     """
     check = pk_root_exists(x, k)
     K = x.unit.precision
     if not check.ok:
         return RootReport(False, check.reason, check.digit_index, (), K)
-    root = PAdicNumber(x.p, x.valuation // x.p**k, _lift_root(x.unit, x.p**k, x.unit.residue))
-    return RootReport(True, RootReason.OK, None, (root,), K - k)
+    y = _lift_root(x.unit, x.p**k, x.unit.residue)
+    units = sorted((y, -y), key=lambda r: r.residue) if x.p == 2 else (y,)
+    w = x.valuation // x.p**k
+    return RootReport(True, RootReason.OK, None, tuple(PAdicNumber(x.p, w, u) for u in units), K - k)
 
 
 def root_quotient_congruence_check(x: PAdicNumber, k: int) -> QuotientCongruenceReport:
@@ -170,39 +170,29 @@ def root_quotient_congruence_check(x: PAdicNumber, k: int) -> QuotientCongruence
 
 
 def sqrt_2adic(x: PAdicNumber) -> RootReport:
-    """The two opposite square roots of a 2-adic unit congruent to 1 mod 8.
+    """The two opposite square roots of a 2-adic unit, which exist iff it is 1 mod 8.
 
-    The root that is 1 mod 4 is lifted by Newton's method on y^2 = x; the
-    pair is determined to K - 1 digits, and either representative squares
-    back to x mod 2^K.
+    This is pk_root(x, 1), once x is checked to be a unit over p = 2 with at least 3 digits.
     """
     if x.p != 2:
         raise WrongPrime(f"square-root routine is for p = 2, got p = {x.p}")
-    u = _require_unit(x)
-    K = u.precision
+    K = _require_unit(x).precision
     if K < 3:
         raise PrecisionTooLow(f"need at least 3 digits to test mod 8, have {K}")
-    if u.residue % 8 != 1:
-        return RootReport(False, RootReason.MOD8_FAILURE, None, (), K)
-    r = _lift_root(u, 2, 1)
-    small = min(r.residue, (-r).residue)
-    pair = tuple(PAdicNumber(2, 0, PAdicInt(2, K - 1, r)) for r in (small, -small))
-    return RootReport(True, RootReason.OK, None, pair, K - 1)
+    return pk_root(x, 1)
 
 
 def general_root(x: PAdicNumber, m: int) -> RootReport:
-    """All m-th roots of x for odd p, splitting m into p^v times m'.
+    """All m-th roots of x, splitting m into p^v times m'.
 
-    The unit part must pass the digit criterion for its p^v-th root.  Its
-    one p^v-th root, the one that is the unit mod p, is lifted by Newton's
-    method, and hensel_kth_root gives that root's gcd(m', p-1) m'-th roots,
-    or none when the m'-th power residue test fails.  The first failure is
-    reported.  Roots are determined to K - v digits.
+    The unit part must pass the digit criterion for its p^v-th roots, which
+    pk_root gives: one for odd p, two opposite ones at p = 2.  hensel_kth_root
+    then gives each of them gcd(m', p-1) m'-th roots (one at p = 2), or none
+    when the m'-th power residue test fails.  The first failure is reported.
+    Roots are determined to K - v digits.
     """
     if x.is_zero:
         raise ZeroInput("zero has no root report")
-    if x.p == 2:
-        raise WrongPrime("use the p = 2 square-root routine")
     if m < 1:
         raise ValueError(f"degree must be >= 1, got {m}")
     p = x.p
@@ -213,16 +203,17 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
     m_prime = m // p**v
     if x.valuation % m != 0:
         return RootReport(False, RootReason.VALUATION_NOT_DIVISIBLE, None, (), K)
-    unit = PAdicNumber(p, 0, x.unit)
+    roots = (x.unit,)
     if v > 0:
-        check = pk_root_exists(unit, v)
-        if not check.ok:
-            return RootReport(False, check.reason, check.digit_index, (), K)
-    root = _lift_root(x.unit, p**v, x.unit.residue) if v else x.unit
-    # The p^v-th root is x.unit mod p, so Hensel's residue test gives the verdict for x.
-    roots = sorted(hensel_kth_root(root, m_prime) if m_prime > 1 else (root,), key=lambda r: r.residue)
-    if not roots:
-        return RootReport(False, RootReason.NOT_KTH_RESIDUE, None, (), K)
+        report = pk_root(PAdicNumber(p, 0, x.unit), v)
+        if not report.exists:
+            return RootReport(False, report.reason, report.digit_index, (), K)
+        roots = [r.unit for r in report.roots]
+    if m_prime > 1:
+        # Each p^v-th root is x.unit mod p, so Hensel's residue test gives the verdict for x.
+        roots = sorted((s for r in roots for s in hensel_kth_root(r, m_prime)), key=lambda s: s.residue)
+        if not roots:
+            return RootReport(False, RootReason.NOT_KTH_RESIDUE, None, (), K)
     w = x.valuation // m
     return RootReport(True, RootReason.OK, None, tuple(PAdicNumber(p, w, r) for r in roots), K - v)
 

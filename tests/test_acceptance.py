@@ -202,5 +202,5 @@ def test_criterion_9_two_adic_square_roots():
     for r in residues:
         assert pow(r, 2, 2**10) == 17
     failed = sqrt_2adic(PAdicNumber.from_integer(3, 2, 10))
-    assert (failed.exists, failed.reason) == (False, RootReason.MOD8_FAILURE)
+    assert (failed.exists, failed.reason, failed.digit_index) == (False, RootReason.WITT_DIGIT_NONZERO, 1)
     print("criterion 9 PASS: sqrt(17) = {233, 279} mod 2^9 with squares = 17 mod 2^10; sqrt(3) fails mod 8")

@@ -239,6 +239,18 @@ def test_missing_root_json(capsys):
     assert "Witt digit 1 nonzero" in payload["reason"]
 
 
+@pytest.mark.parametrize("output", ["human", "json"])
+def test_unit_5_mod_8_has_no_square_root(capsys, output):
+    # 5 = 1 + 4 has its first nonzero Witt digit at index 2, which no golden case reaches
+    argv = ["root", "--p", "2", "--degree", "2", "--value", "5", "--precision", "5", "--output", output]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    if output == "json":
+        assert (json.loads(out), err) == ({"ok": False, "precision": 5, "reason": "unit is not 1 mod 8"}, "")
+    else:
+        assert (out, err) == ("", "no root: unit is not 1 mod 8\n")
+
+
 def test_domain_error_exits_one(capsys):
     code, _, err = run(capsys, ["log", "--p", "5", "--value", "2", "--precision", "3"])
     assert code == 1

@@ -17,6 +17,7 @@ import oracles
 import wittpadics
 from wittpadics import (
     ExactExponent,
+    InvalidDegree,
     NotAUnit,
     PAdicInt,
     PAdicNumber,
@@ -29,6 +30,7 @@ from wittpadics import (
     fermat_quotient,
     flt_local_witness,
     general_root,
+    hensel_kth_root,
     padic_to_witt,
     pk_root,
     pk_root_exists,
@@ -380,7 +382,7 @@ def test_sqrt_2adic_one_and_three():
     assert residues == [1, 2**5 - 1]  # 1 and -1
 
     report = sqrt_2adic(PAdicNumber.from_integer(3, 2, 6))
-    assert (report.exists, report.reason) == (False, RootReason.MOD8_FAILURE)
+    assert (report.exists, report.reason, report.digit_index) == (False, RootReason.WITT_DIGIT_NONZERO, 1)
 
 
 def test_sqrt_2adic_guards():
@@ -403,6 +405,67 @@ def test_sqrt_2adic_matches_brute_force():
             continue
         got = sorted(r.unit.residue for r in report.roots)
         assert sorted({r % 2 ** (prec - 1) for r in brute}) == got
+
+
+def test_pk_root_at_p2_is_the_pair_around_the_ppow_root():
+    # +-y are the only 2^k-th roots; ppow's is the one that is 1 mod 4
+    for K in range(3, 10):
+        for k in range(1, K - 1):
+            for z in range(1, 2**K, 2):
+                for s in (0, 1):
+                    x = PAdicNumber(2, s * 2**k, PAdicInt(2, K, pow(z, 2**k, 2**K)))
+                    y = ppow(x, ExactExponent(1, k))
+                    report = pk_root(x, k)
+                    assert y.unit.residue % 4 == 1 and y.valuation == s
+                    assert [r.unit.residue for r in report.roots] == sorted({y.unit.residue, (-y.unit).residue})
+                    assert {(r.valuation, r.unit.precision) for r in report.roots} == {(s, K - k)}
+                    assert report.output_precision == K - k
+
+
+def test_sqrt_2adic_is_pk_root_of_degree_two():
+    for K in range(3, 13):
+        for u in range(1, 2**K, 2):
+            x = unit(2, K, u)
+            assert sqrt_2adic(x) == pk_root(x, 1)
+
+
+def test_hensel_kth_root_at_p2_matches_brute_force():
+    # an odd power is a bijection on the units mod 2^K, so there is one root
+    for K in range(1, 9):
+        for k in (1, 3, 5, 7, 9, 15):
+            for a in range(1, 2**K, 2):
+                roots = hensel_kth_root(PAdicInt(2, K, a), k)
+                assert [r.residue for r in roots] == oracles.brute_force_roots(2, K, k, a)
+                assert roots[0].precision == K
+    with pytest.raises(InvalidDegree):
+        hensel_kth_root(PAdicInt(2, 5, 1), 6)
+
+
+def test_general_root_at_p2_matches_brute_force_on_every_small_unit():
+    # every odd unit mod 2^K, K <= 10, at valuations 0, 1 and 2, against the
+    # brute-force m-th roots mod 2^K read mod 2^(K - v) with v = v_2(m)
+    cases = 0
+    for K in range(1, 11):
+        for m in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24):
+            v = (m & -m).bit_length() - 1
+            roots_of = {}  # brute_force_roots(2, K, m, u) for every u at once
+            for r in range(1, 2**K, 2):
+                roots_of.setdefault(pow(r, m, 2**K), set()).add(r % 2 ** max(K - v, 0))
+            for u in range(1, 2**K, 2):
+                for s in (0, 1, 2):
+                    x = PAdicNumber(2, s, PAdicInt(2, K, u))
+                    cases += 1
+                    if s % m == 0 and v and K < v + 2:
+                        with pytest.raises(PrecisionTooLow):
+                            general_root(x, m)
+                        continue
+                    report = general_root(x, m)
+                    expected = sorted(roots_of.get(u, ())) if s % m == 0 else []
+                    assert [r.unit.residue for r in report.roots] == expected, (K, m, u, s)
+                    assert all(r.valuation == s // m for r in report.roots)
+                    assert report.exists == bool(expected)
+                    assert report.output_precision == (K - v if expected else K)
+    assert cases == 30690
 
 
 # ------------------------------------------------------------- general degree
@@ -473,7 +536,7 @@ def test_failed_reports_carry_the_input_precision(K):
     tau2 = teichmuller(PAdicInt(p, K, 2)).residue  # Witt digits 1.. are zero; 2 is no square mod 5
     failures = [
         (pk_root(PAdicNumber.from_integer(2, p, K), 1), RootReason.WITT_DIGIT_NONZERO),
-        (sqrt_2adic(PAdicNumber.from_integer(3, 2, K)), RootReason.MOD8_FAILURE),
+        (sqrt_2adic(PAdicNumber.from_integer(3, 2, K)), RootReason.WITT_DIGIT_NONZERO),
         (general_root(PAdicNumber(p, 1, PAdicInt(p, K, 1)), 5), RootReason.VALUATION_NOT_DIVISIBLE),
         (general_root(PAdicNumber.from_integer(2, p, K), 5), RootReason.WITT_DIGIT_NONZERO),
         (general_root(PAdicNumber(p, 0, PAdicInt(p, K, tau2)), 10), RootReason.NOT_KTH_RESIDUE),
@@ -519,9 +582,9 @@ def test_general_root_matches_brute_force():
     assert multi_root_p_part > 0
 
 
-def test_general_root_rejects_p2_and_zero():
-    with pytest.raises(WrongPrime):
-        general_root(PAdicNumber.from_integer(17, 2, 6), 3)
+def test_general_root_takes_an_odd_degree_at_p2_and_rejects_zero():
+    report = general_root(PAdicNumber.from_integer(17, 2, 6), 3)
+    assert [r.unit.residue for r in report.roots] == oracles.brute_force_roots(2, 6, 3, 17)
     import wittpadics
 
     with pytest.raises(wittpadics.ZeroInput):
