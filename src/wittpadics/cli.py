@@ -20,7 +20,6 @@ from .roots import (
     fermat_quotient,
     flt_local_witness,
     general_root,
-    sqrt_2adic,
     wieferich_search,
 )
 from .witt import padic_to_witt
@@ -115,8 +114,8 @@ def _root_failure_reason(report, value: PAdicNumber, value_text: str, degree: in
         return f"valuation {value.valuation} is not divisible by {degree}"
     if report.reason is RootReason.WITT_DIGIT_NONZERO:
         if p == 2:
-            # Exact only while the CLI takes --degree 2 alone at p = 2; fermat_quotient raises there.
-            return "unit is not 1 mod 8"
+            # A 2^v-th power of a unit is 1 mod 2^(v+2); fermat_quotient raises at p = 2.
+            return f"unit is not 1 mod {2 ** (padic_valuation(degree, 2) + 2)}"
         msg = f"Witt digit {report.digit_index} nonzero"
         if report.digit_index == 1 and not value.is_zero and value.valuation == 0:
             q = fermat_quotient(value)
@@ -174,12 +173,7 @@ def _polar(args, p: int, precision: int):
 
 def _root(args, p: int, precision: int):
     value = parse_value(args.value, p, precision)
-    if p == 2:
-        if args.degree != 2:
-            raise UsageError("for p = 2 only --degree 2 is supported")
-        report = sqrt_2adic(value)
-    else:
-        report = general_root(value, args.degree)
+    report = general_root(value, args.degree)
     if not report.exists:
         raise _NoRoot(_root_failure_reason(report, value, args.value, args.degree))
     result = {

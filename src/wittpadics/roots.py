@@ -170,26 +170,20 @@ def root_quotient_congruence_check(x: PAdicNumber, k: int) -> QuotientCongruence
 
 
 def sqrt_2adic(x: PAdicNumber) -> RootReport:
-    """The two opposite square roots of a 2-adic unit, which exist iff it is 1 mod 8.
-
-    This is pk_root(x, 1), once x is checked to be a unit over p = 2 with at least 3 digits.
-    """
+    """pk_root(x, 1) at p = 2: the pair +-y when the valuation is even and the unit is 1 mod 8."""
     if x.p != 2:
         raise WrongPrime(f"square-root routine is for p = 2, got p = {x.p}")
-    K = _require_unit(x).precision
-    if K < 3:
-        raise PrecisionTooLow(f"need at least 3 digits to test mod 8, have {K}")
     return pk_root(x, 1)
 
 
 def general_root(x: PAdicNumber, m: int) -> RootReport:
     """All m-th roots of x, splitting m into p^v times m'.
 
-    The unit part must pass the digit criterion for its p^v-th roots, which
-    pk_root gives: one for odd p, two opposite ones at p = 2.  hensel_kth_root
-    then gives each of them gcd(m', p-1) m'-th roots (one at p = 2), or none
-    when the m'-th power residue test fails.  The first failure is reported.
-    Roots are determined to K - v digits.
+    m must divide the valuation.  pk_root gives the p^v-th roots of x, one for
+    odd p and two opposite ones at p = 2.  hensel_kth_root then gives each of
+    them gcd(m', p-1) m'-th roots (one at p = 2), or none when the m'-th power
+    residue test fails.  The first failure is reported.  Roots are determined
+    to K - v digits.
     """
     if x.is_zero:
         raise ZeroInput("zero has no root report")
@@ -197,15 +191,13 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
         raise ValueError(f"degree must be >= 1, got {m}")
     p = x.p
     K = x.unit.precision
-    if m == 1:
-        return RootReport(True, RootReason.OK, None, (x,), K)
     v = padic_valuation(m, p)
     m_prime = m // p**v
     if x.valuation % m != 0:
         return RootReport(False, RootReason.VALUATION_NOT_DIVISIBLE, None, (), K)
     roots = (x.unit,)
     if v > 0:
-        report = pk_root(PAdicNumber(p, 0, x.unit), v)
+        report = pk_root(x, v)
         if not report.exists:
             return RootReport(False, report.reason, report.digit_index, (), K)
         roots = [r.unit for r in report.roots]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import wittpadics
 from wittpadics import (
     ExactExponent,
@@ -251,6 +252,44 @@ def test_unit_5_mod_8_has_no_square_root(capsys, output):
         assert (out, err) == ("", "no root: unit is not 1 mod 8\n")
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12])
+def test_root_at_p2_matches_brute_force_on_every_small_unit(capsys, m):
+    # every odd unit mod 2^K, K <= 7: the roots are the brute-force m-th roots
+    # read mod 2^(K - v), v = v_2(m), or the unit is not 1 mod 2^(v + 2)
+    v = (m & -m).bit_length() - 1
+    for K in range(1, 8):
+        for u in range(1, 2**K, 2):
+            argv = ["root", "--p", "2", "--degree", str(m), "--value", str(u), "--precision", str(K)]
+            code, out, err = run(capsys, argv + ["--output", "json"])
+            payload = json.loads(out)
+            if v and K < v + 2:
+                reason = f"need {v + 2} digits to read Witt digits 1..{v + 1}, have {K}"
+                assert (code, payload["reason"]) == (1, reason), (K, u)
+                continue
+            expected = sorted({r % 2 ** (K - v) for r in oracles.brute_force_roots(2, K, m, u)})
+            if code == 0:
+                roots = payload["result"]["roots"]
+                assert [r["unit"]["residue"] for r in roots] == expected, (K, u)
+                assert all(r["valuation"] == 0 and r["unit"]["precision"] == K - v for r in roots)
+            else:
+                assert (code, payload["reason"]) == (1, f"unit is not 1 mod {2 ** (v + 2)}"), (K, u)
+                assert expected == []
+            assert (code == 0) == (u % 2 ** (v + 2) == 1 or not v), (K, u)
+
+
+@pytest.mark.parametrize("output", ["human", "json"])
+def test_square_root_of_a_2adic_non_unit(capsys, output):
+    # 4 = 2^2 has the square roots 2 * (+-1); the unit path alone rejected it
+    argv = ["root", "--p", "2", "--degree", "2", "--value", "4", "--precision", "8", "--output", output]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    if output == "json":
+        roots = json.loads(out)["result"]["roots"]
+        assert [(r["valuation"], r["unit"]["residue"], r["unit"]["precision"]) for r in roots] == [(1, 1, 7), (1, 127, 7)]
+    else:
+        assert out == "root: 2^1 * 1 (mod 2^7)\nroot: 2^1 * 127 ≡ -1 (mod 2^7)\n"
+
+
 def test_domain_error_exits_one(capsys):
     code, _, err = run(capsys, ["log", "--p", "5", "--value", "2", "--precision", "3"])
     assert code == 1
@@ -310,8 +349,8 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, ["convert", "--p", "5", "--value", "x"])
     assert code == 2 and "decimal integer" in err
 
-    code, _, err = run(capsys, ["root", "--p", "2", "--degree", "4", "--value", "17"])
-    assert code == 2 and "only --degree 2" in err
+    code, _, err = run(capsys, ["root", "--p", "2", "--degree", "0", "--value", "17"])
+    assert code == 2 and "degree must be >= 1" in err
 
 
 @pytest.mark.parametrize(

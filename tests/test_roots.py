@@ -204,9 +204,8 @@ def test_criterion_matches_the_witt_digit_peel_on_every_small_unit():
             for k in range(1, K - (p == 2)):
                 first = _first_nonzero_digit(digits, k + (p == 2))
                 assert _root_obstruction(x, k) == first, (p, K, r, k)
-                if p != 2:
-                    check = pk_root_exists(x, k)
-                    assert (check.ok, check.digit_index) == (first is None, first), (p, K, r, k)
+                check = pk_root_exists(x, k)
+                assert (check.ok, check.digit_index) == (first is None, first), (p, K, r, k)
                 cases += 1
     assert cases == 55538
 
@@ -423,10 +422,25 @@ def test_pk_root_at_p2_is_the_pair_around_the_ppow_root():
 
 
 def test_sqrt_2adic_is_pk_root_of_degree_two():
-    for K in range(3, 13):
+    # every odd unit mod 2^K, K <= 10, at valuations 0..3
+    for K in range(1, 11):
         for u in range(1, 2**K, 2):
-            x = unit(2, K, u)
-            assert sqrt_2adic(x) == pk_root(x, 1)
+            for s in range(4):
+                x = PAdicNumber(2, s, PAdicInt(2, K, u))
+                if s % 2 == 0 and K < 3:
+                    with pytest.raises(PrecisionTooLow):
+                        sqrt_2adic(x)
+                    continue
+                assert sqrt_2adic(x) == pk_root(x, 1) == general_root(x, 2), (K, u, s)
+
+    x = PAdicNumber.from_integer(4, 2, 8)
+    report = sqrt_2adic(x)
+    assert report == general_root(x, 2)
+    assert [(r.valuation, r.unit.residue, r.unit.precision) for r in report.roots] == [(1, 1, 7), (1, 127, 7)]
+    report = sqrt_2adic(PAdicNumber.from_integer(2, 2, 8))
+    assert (report.exists, report.reason) == (False, RootReason.VALUATION_NOT_DIVISIBLE)
+    with pytest.raises(wittpadics.ZeroInput):
+        sqrt_2adic(PAdicNumber.zero(2))
 
 
 def test_hensel_kth_root_at_p2_matches_brute_force():
