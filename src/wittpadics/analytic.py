@@ -1,13 +1,13 @@
 """Truncated p-adic logarithm and exponential, polar form, and powers.
 
-log(1+t) = t - t^2/2 + ... and exp(t) = 1 + t + t^2/2! + ... terminate mod
-p^K once every remaining term has valuation >= K.  Terms are accumulated at
-a working precision with enough guard digits that each division by j (or by
-j!) is exact: the p-part of the divisor is cancelled by integer division of
-the power of t, the unit part by one modular inverse at the end of the sum.
+log(1+t) = t - t^2/2 + t^3/3 - ... terminates mod p^K once every remaining
+term has valuation >= K.  Terms are accumulated at a working precision with
+enough guard digits that each division by j is exact: the p-part of the
+divisor is cancelled by integer division of the power of t, the unit part by
+one modular inverse at the end of the sum.
 
 When p is small against K, the log is taken as log(x^(p^r)) / p^r, whose
-series needs about K/(r+1) terms, and exp by Newton's method on that log;
+series needs about K/(r+1) terms.  exp is Newton's method on the log alone;
 see Brent (1976), "Fast multiple-precision evaluation of elementary functions".
 Roots take neither: a u/p^k-th power is the u-th power of a root of
 y^(p^k) = x, lifted by Newton's method on that equation (padic._lift_root).
@@ -52,10 +52,10 @@ def _log(p: int, K: int, x: int) -> int:
     N = K + r digits.  Term j of log(1+t), t = y - 1, has valuation >= j*s -
     floor(log_p j), a non-decreasing bound, so the terms from j = (N + g)/s on
     vanish once p^(g+1) passes that index; g is also the guard, the largest
-    v_p(j) kept.  As in pexp, the sum is kept over the product D of the unit
-    parts of the j, inverted once.  The cost is r p-th powerings plus about
-    K/(r+1) terms, least near r = sqrt(K / log2 p); r = 0, the plain series,
-    once p >= 2^K.
+    v_p(j) kept.  The sum is kept over the product D of the unit parts of
+    the j, inverted once.  The cost is r p-th powerings plus about K/(r+1)
+    terms, least near r = sqrt(K / log2 p); r = 0, the plain series, once
+    p >= 2^K.
     """
     r = isqrt(K // p.bit_length())
     N = K + r
@@ -88,41 +88,20 @@ def plog(x: PAdicInt) -> PAdicInt:
 def pexp(theta: PAdicInt) -> PAdicInt:
     """Exponential of an argument divisible by p (by 4 when p = 2).
 
-    The series runs at a start precision k0 of at most 6 bits(p) digits, with
-    bits(p) the bit length of p; then each Newton step y <- y * (1 + theta -
-    log y) takes y from e correct digits to 2e (2e - 1 at p = 2), up to K.
-    So K <= 6 bits(p) is the series alone, and above it the cost is about two
-    logs to K digits.
-
-    In the series, term j has valuation >= j*v - v_p(j!) >= j*v - (j-1)/(p-1)
-    with v the domain valuation (1 for odd p, 2 for p = 2), which gives the
-    cutoff J; (J-1)/(p-1) guard digits cover the worst division by j!.
-    The p-part of j! is cancelled by integer division of t^j.  The sum is
-    kept scaled by the unit part U_j of j!: S_j = S_(j-1)*u_j + t^j/p^v_p(j!),
-    with u_j the unit part of j, so that S_J = U_J * sum(t^j/j!) and the
-    series costs a single modular inverse, of U_J, at the end.
+    Newton's method on the log alone: y <- y * (1 + theta - log y) takes y
+    from e correct digits to 2e (2e - 1 at p = 2), up to K, so the cost is
+    about two logs to K digits.  The start y = 1 + theta is exp theta to 2
+    digits (3 at p = 2): for j >= 2, v(theta^j / j!) >= j - (j-1)/(p-1) >= 2
+    at odd p, and >= j + 1 >= 3 at p = 2, where v(theta) >= 2.
     """
     p, K = theta.p, theta.precision
     _require_argument(theta)
     precisions = [K]
-    while precisions[-1] > 6 * p.bit_length():
+    while precisions[-1] > 2 + (p == 2):
         precisions.append((precisions[-1] + 1 + (p == 2)) // 2)
-    k0 = precisions.pop()
-    vmin = 2 if p == 2 else 1
     t = theta.residue
-    last = max(1, -(-(k0 * (p - 1) - 1) // (vmin * (p - 1) - 1)))
-    m = p ** (k0 + (last - 1) // (p - 1))
-    total = tpow = fact_unit = fact_p = 1
-    for j in range(1, last + 1):
-        tpow = tpow * t % m
-        u = j
-        while u % p == 0:
-            u //= p
-            fact_p *= p
-        fact_unit = fact_unit * u % m
-        total = (total * u + tpow // fact_p) % m
-    y = total * pow(fact_unit, -1, m) % p**k0
-    for k in reversed(precisions):
+    y = 1 + t
+    for k in reversed(precisions[:-1]):
         y = y * (1 + t - _log(p, k, y)) % p**k
     return PAdicInt(p, K, y)
 

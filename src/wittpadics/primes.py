@@ -14,7 +14,7 @@ PRIME_BOUND = 2**64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**12)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin test, valid for n < 2^64."""
     if n < 2:

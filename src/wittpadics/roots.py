@@ -6,7 +6,6 @@ and the number-theoretic searches built on them.
 """
 
 import enum
-from bisect import bisect_left
 from math import prod
 
 from .analytic import _check_pk_root
@@ -213,9 +212,6 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
 #: Largest limit `wieferich_search` accepts.  Its sieve keeps the primes up to
 #: isqrt(limit) between segments: 82025 of them, about 3 MB, at 2^40.
 WIEFERICH_LIMIT = 2**40
-# Below this, p^2 fits one 30-bit digit of a Python int and one pow per prime
-# is faster than a shared one.
-_SHARED_POW_FROM = 2**15
 _BLOCK = 8
 
 
@@ -224,11 +220,11 @@ def wieferich_search(base: int, limit: int) -> list[int]:
 
     (Z/p^2)^x is cyclic, so base^(p-1) = 1 mod p^2 exactly when
     x = base^((p-1)/2) mod p^2 is 1 or p^2 - 1; when p | base, x = 0 mod p.
-    Primes below 2^15 take one pow each.  Above, each block of 8 consecutive
-    primes p_1 < ... < p_8 shares a = base^((p_1-1)/2) mod p_1^2...p_8^2, and
-    p_j finishes with a * base^((p_j-p_1)/2) mod p_j^2, a pow with a short
-    exponent.  The primes stream from `odd_prime_segments`, so memory stays
-    O(sqrt(limit)); a limit above WIEFERICH_LIMIT raises ValueError.
+    Each block of 8 consecutive primes p_1 < ... < p_8 shares one pow,
+    a = base^((p_1-1)/2) mod p_1^2...p_8^2, and p_j finishes with
+    a * base^((p_j-p_1)/2) mod p_j^2, a pow with a short exponent.  The
+    primes stream from `odd_prime_segments`, so memory stays O(sqrt(limit));
+    a limit above WIEFERICH_LIMIT raises ValueError.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
@@ -238,13 +234,7 @@ def wieferich_search(base: int, limit: int) -> list[int]:
         raise ValueError(f"limit must be <= 2^{WIEFERICH_LIMIT.bit_length() - 1}, got {limit}")
     hits = []
     for primes in odd_prime_segments(limit):
-        k = bisect_left(primes, _SHARED_POW_FROM)
-        for p in primes[:k]:
-            m = p * p
-            x = pow(base, p >> 1, m)
-            if x == 1 or x == m - 1:
-                hits.append(p)
-        for k in range(k, len(primes), _BLOCK):
+        for k in range(0, len(primes), _BLOCK):
             block = primes[k : k + _BLOCK]
             p1 = block[0]
             squares = [p * p for p in block]

@@ -115,13 +115,23 @@ def test_pexp_matches_series_oracle_to_512_digits(p, K, a, shift):
 
 def _edge_precisions(p):
     # K in {1, 2, 3}, p - 1..p + 1, both sides of each step of the log's
-    # reduction r = isqrt(K // bits) up to r = 3, and of the series/Newton
-    # crossover of pexp at 6 * bits, with one Newton step and with two past it.
+    # reduction r = isqrt(K // bits) up to r = 3, and the last K with j Newton
+    # steps in pexp and the first with j + 1: from 2 correct digits (3 at
+    # p = 2), each step takes e to 2e (2e - 1), so step j + 1 starts at
+    # K = 2^j + 1 (2^j + 2).
     bits = p.bit_length()
     ks = {1, 2, 3, p - 1, p, p + 1}
-    for edge in (bits, 4 * bits, 9 * bits, 6 * bits, 6 * bits + 1, 12 * bits + 1):
+    for edge in (bits, 4 * bits, 9 * bits):
         ks |= {edge - 1, edge, edge + 1}
+    for j in range(10):
+        edge = 2**j + 1 + (p == 2)
+        ks |= {edge - 1, edge}
     return sorted(k for k in ks if k >= (2 if p == 2 else 1))
+
+
+# Every theta = 0 mod p (mod 4 at p = 2) up to these K: the start 1 + theta
+# and the first Newton steps, exhaustively.
+_EXHAUSTIVE_EXP_K = {2: 10, 3: 6, 5: 5, 7: 4, 11: 3}
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
@@ -145,6 +155,9 @@ def test_log_exp_edge_cases_against_series_oracle(p):
                 assert pexp(PAdicInt(p, K, t)).residue == oracles.exp_by_series(p, K, t % m), (K, t)
         assert plog(PAdicInt(p, K, 1)).residue == 0
         assert pexp(PAdicInt(p, K, 0)).residue == 1
+    for K in range(2 if p == 2 else 1, _EXHAUSTIVE_EXP_K[p] + 1):
+        for t in range(0, p**K, q):
+            assert pexp(PAdicInt(p, K, t)).residue == oracles.exp_by_series(p, K, t), (K, t)
 
 
 def test_mutual_inverses_500_per_prime():

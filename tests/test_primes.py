@@ -1,12 +1,12 @@
-"""The prime sieve against sympy."""
+"""The prime sieve and the primality test against sympy."""
 
 import pytest
 import sympy
 
 from wittpadics import primes_up_to
-from wittpadics.primes import SEGMENT, odd_prime_segments
+from wittpadics.primes import SEGMENT, is_prime, odd_prime_segments
 
-# Limits around 2^15, where wieferich_search starts sharing one pow per block,
+# Limits around 2^15, where p^2 outgrows one 30-bit digit of a Python int,
 # and two apart on either side of the first two segment edges.
 EDGE_LIMITS = [32749, 32768, 32771, *range(2 * SEGMENT - 2, 2 * SEGMENT + 3), *range(4 * SEGMENT - 2, 4 * SEGMENT + 3)]
 
@@ -31,3 +31,10 @@ def test_sieve_matches_sympy_at_large_limits(limit, count):
     primes = primes_up_to(limit)
     assert len(primes) == count
     assert primes == list(sympy.primerange(limit + 1))
+
+
+def test_is_prime_cache_stays_bounded():
+    maxsize = is_prime.cache_info().maxsize
+    odd = range(2**40 + 1, 2**40 + 2 * (maxsize + 100), 2)
+    assert [is_prime(n) for n in odd] == [sympy.isprime(n) for n in odd]
+    assert is_prime.cache_info().currsize <= maxsize

@@ -627,8 +627,8 @@ def _wieferich_by_scan(base, limit):
 # Small and composite bases, bases with p | base and p^2 | base (30030, 1093^2),
 # and bases of several 30-bit digits.
 WIEFERICH_BASES = [2, 3, 5, 6, 7, 10, 30030, 1093**2, 2**64 + 1, 10**99 + 7]
-# Around 2^15, where primes start sharing one pow per block, and two apart on
-# either side of the first two sieve segment edges, 2^16 and 2^17.
+# Around 2^15, where p^2 outgrows one 30-bit digit of a Python int, and two
+# apart on either side of the first two sieve segment edges, 2^16 and 2^17.
 WIEFERICH_EDGE_LIMITS = [32749, 32768, 32771, *range(2**16 - 2, 2**16 + 3), *range(2**17 - 2, 2**17 + 3)]
 
 
@@ -654,20 +654,22 @@ def test_wieferich_known_hits(base, limit, hits):
     assert wieferich_search(base, limit) == hits
 
 
-# The first nine primes past 2^15 and past 2^16: every position in a block of 8,
-# on both sides of the first segment edge.
-PLANTED = [p for start in (2**15, 2**16) for p in list(sympy.primerange(start, start + 200))[:9]]
+# The first nine odd primes, and the first nine past 2^15 and past 2^16: every
+# position in a block of 8, in the first block and on both sides of the first
+# segment edge.
+PLANTED = [p for start in (3, 2**15, 2**16) for p in list(sympy.primerange(start, start + 200))[:9]]
 
 
 @pytest.mark.parametrize("p", PLANTED)
 def test_wieferich_finds_a_planted_hit_at_each_block_position(p):
     # t^p mod p^2 is a hit at p, with base^((p-1)/2) = +1 or -1 mod p^2 as t is
-    # a square mod p or not; take a base of each kind.
+    # a square mod p or not; take a base of each kind.  For small p, t^p mod p^2
+    # can be 1, so add p^2 to keep the base >= 2.
     bases = {}
     for t in range(2, 1000):
-        base = pow(t, p, p * p)
-        if base >= 2:
-            bases.setdefault(pow(t, (p - 1) // 2, p), base)
+        if t % p:
+            base = pow(t, p, p * p)
+            bases.setdefault(pow(t, (p - 1) // 2, p), base if base >= 2 else base + p * p)
     assert len(bases) == 2
     for base in bases.values():
         expected = _wieferich_by_scan(base, p + 100)
