@@ -9,20 +9,16 @@ one modular inverse at the end of the sum.
 When p is small against K, the log is taken as log(x^(p^r)) / p^r, whose
 series needs about K/(r+1) terms.  exp is Newton's method on the log alone;
 see Brent (1976), "Fast multiple-precision evaluation of elementary functions".
-Roots take neither: a u/p^k-th power is the u-th power of a root of
-y^(p^k) = x, lifted by Newton's method on that equation (padic._lift_root).
+Roots take neither: a u/p^k-th power is the u-th power of the root that
+roots.pk_root gives, where the Witt-digit root criterion lives
+(roots.pk_root_exists).
 """
 
 from math import isqrt
 
-from .errors import (
-    DomainError,
-    PrecisionTooLow,
-    RootCondition,
-    ValuationCondition,
-    ZeroInput,
-)
-from .padic import PAdicInt, PAdicNumber, Record, _lift_root, _setattr, padic_valuation, teichmuller
+from .errors import DomainError, PrecisionTooLow, RootCondition, ValuationCondition, ZeroInput
+from .padic import PAdicInt, PAdicNumber, Record, _setattr, padic_valuation, teichmuller
+from .roots import RootReason, pk_root
 
 
 def _require_principal(x: PAdicInt) -> None:
@@ -162,45 +158,19 @@ class ExactExponent(Record):
         u, k = self.numerator, self.denominator_power
         if u == 0:
             return ExactExponent(0, 0)
-        while k > 0 and u % p == 0:
-            u //= p
-            k -= 1
-        return ExactExponent(u, k)
-
-
-def _check_pk_root(x: PAdicNumber, k: int) -> None:
-    """The p^k-th root criterion for nonzero x; raises at the first failure.
-
-    A root exists iff p^k divides the valuation and Witt digits 1..k of the
-    unit part are zero; at p = 2 digit k + 1 must be zero too, since the
-    2^k-th powers of units are the units = 1 (mod 2^(k+2)).  One power reads
-    those digits: if u = teichmuller(u_0) * (1 + p^j c) with c a unit, the
-    first nonzero digit is u_j, and u^(p-1) = 1 + (p-1) p^j c + ... has
-    valuation exactly j after subtracting 1.  At p = 2 the lifts are 0 and 1,
-    so Witt digits are binary digits, and u^(p-1) - 1 = u - 1 reads them with
-    no branch.  This needs k + 1 digits of precision (k + 2 at p = 2).
-    """
-    p, K = x.p, x.unit.precision
-    if x.valuation and padic_valuation(x.valuation, p) < k:
-        raise ValuationCondition(f"valuation {x.valuation} is not divisible by {p}^{k}")
-    last = k + (p == 2)
-    if K < last + 1:
-        raise PrecisionTooLow(f"need {last + 1} digits to read Witt digits 1..{last}, have {K}")
-    r = pow(x.unit.residue, p - 1, p ** (last + 1)) - 1
-    if r:
-        i = padic_valuation(r, p)
-        raise RootCondition(f"Witt digit {i} of the unit part is nonzero", digit_index=i)
+        j = min(k, padic_valuation(u, p))
+        return ExactExponent(u // p**j, k - j)
 
 
 def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:
     """x**y, with the valuation handled exactly.
 
-    Integer exponents reduce to modular powering.  An exponent u/p^k needs
-    the valuation divisible by p^k and the unit's Witt digits 1..k all zero
-    (1..k+1 at p = 2).  The unit then has exactly one p^k-th root that is
-    congruent to it mod p (mod 4 at p = 2), the one its polar form scaled by
-    1/p^k gives; the result is p^(valuation*u/p^k) times that root to the
-    power u, and carries K - k digits.
+    Integer exponents reduce to modular powering.  An exponent u/p^k takes
+    its root from pk_root, whose report becomes ValuationCondition or
+    RootCondition when the criterion fails.  At odd p that root is the only
+    one; at p = 2 it is the one of +-y that is 1 mod 4.  Either way it is
+    the root the polar form scaled by 1/p^k gives.  The result is that root
+    to the power u, and carries K - k digits.
     """
     p = x.p
     y = y.normalized(p)
@@ -211,6 +181,9 @@ def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:
         raise ZeroInput("zero can only be raised to a positive integer power")
     if k == 0:
         return x.pow_int(u)
-    _check_pk_root(x, k)
-    root = _lift_root(x.unit, p**k, x.unit.residue)
-    return PAdicNumber(p, x.valuation // p**k * u, PAdicInt(p, root.precision, pow(root.residue, u, root.modulus)))
+    report = pk_root(x, k)
+    if report.reason is RootReason.VALUATION_NOT_DIVISIBLE:
+        raise ValuationCondition(f"valuation {x.valuation} is not divisible by {p}^{k}")
+    if not report.exists:
+        raise RootCondition(f"Witt digit {report.digit_index} of the unit part is nonzero", report.digit_index)
+    return min(report.roots, key=lambda r: r.unit.residue % 4).pow_int(u)

@@ -24,14 +24,23 @@ from .primes import check_prime
 
 
 def padic_valuation(n: int, p: int) -> int:
-    """Largest e such that p**e divides the nonzero integer n."""
+    """Largest e such that p**e divides the nonzero integer n, in O(log e) divisions.
+
+    n is divided by p, p^2, p^4, ... while the division is exact, which takes
+    out p^(2^t - 1) and leaves a valuation below 2^t; the t powers held then
+    read its bits, from the largest down.
+    """
     if n == 0:
         raise ValueError("the zero integer has no finite valuation")
-    n = abs(n)
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
+    if n % p:
+        return 0
+    powers, e = [p], 0
+    while n % powers[-1] == 0:
+        n, e = n // powers[-1], 2 * e + 1
+        powers.append(powers[-1] * powers[-1])
+    for i in range(len(powers) - 2, -1, -1):
+        if n % powers[i] == 0:
+            n, e = n // powers[i], e + (1 << i)
     return e
 
 

@@ -8,16 +8,7 @@ and the number-theoretic searches built on them.
 import enum
 from math import prod
 
-from .analytic import _check_pk_root
-from .errors import (
-    NotAUnit,
-    PrecisionTooLow,
-    RootCondition,
-    SelfCheckFailed,
-    ValuationCondition,
-    WrongPrime,
-    ZeroInput,
-)
+from .errors import NotAUnit, PrecisionTooLow, RootCondition, SelfCheckFailed, WrongPrime, ZeroInput
 from .padic import PAdicInt, PAdicNumber, Record, hensel_kth_root, padic_valuation
 from .padic import _lift_root
 from .primes import check_prime, odd_prime_segments
@@ -106,20 +97,33 @@ def _k1_cross_check(unit: PAdicInt, digit_ok: bool) -> None:
 
 
 def pk_root_exists(x: PAdicNumber, k: int) -> RootCheck:
-    """Criterion for a p^k-th root: p^k | valuation and unit digits 1..k zero (1..k+1 at p = 2)."""
+    """Criterion for a p^k-th root of nonzero x; bad input raises, a failed condition is reported.
+
+    A root exists iff p^k divides the valuation and Witt digits 1..k of the
+    unit part are zero; at p = 2 digit k + 1 must be zero too, since the
+    2^k-th powers of units are the units = 1 (mod 2^(k+2)).  One power reads
+    those digits: if u = teichmuller(u_0) * (1 + p^j c) with c a unit, the
+    first nonzero digit is u_j, and u^(p-1) = 1 + (p-1) p^j c + ... has
+    valuation exactly j after subtracting 1.  At p = 2 the lifts are 0 and 1,
+    so Witt digits are binary digits, and u^(p-1) - 1 = u - 1 reads them with
+    no branch.  This needs k + 1 digits of precision (k + 2 at p = 2).
+    """
     if x.is_zero:
         raise ZeroInput("zero has no root report")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    try:
-        _check_pk_root(x, k)
-    except ValuationCondition:
+    p, K = x.p, x.unit.precision
+    if x.valuation and padic_valuation(x.valuation, p) < k:
         return RootCheck(False, RootReason.VALUATION_NOT_DIVISIBLE, None)
-    except RootCondition as exc:
-        check = RootCheck(False, RootReason.WITT_DIGIT_NONZERO, exc.digit_index)
+    last = k + (p == 2)
+    if K < last + 1:
+        raise PrecisionTooLow(f"need {last + 1} digits to read Witt digits 1..{last}, have {K}")
+    r = pow(x.unit.residue, p - 1, p ** (last + 1)) - 1
+    if r:
+        check = RootCheck(False, RootReason.WITT_DIGIT_NONZERO, padic_valuation(r, p))
     else:
         check = RootCheck(True, RootReason.OK, None)
-    if k == 1 and x.p != 2:
+    if k == 1 and p != 2:
         _k1_cross_check(x.unit, digit_ok=check.ok)
     return check
 

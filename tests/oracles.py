@@ -168,12 +168,21 @@ def exp_by_fraction_series(p: int, precision: int, theta: int) -> int:
     return total.numerator * pow(total.denominator, -1, m) % m
 
 
-def _valuation(n: int, p: int) -> int:
+def valuation_by_division(n: int, p: int) -> int:
+    """v_p(n) for nonzero n, one division by p per unit of valuation."""
     e = 0
     while n % p == 0:
         n //= p
         e += 1
     return e
+
+
+def cancel_by_division(u: int, k: int, p: int) -> tuple[int, int]:
+    """(u', k') with u'/p^k' = u/p^k, cancelling one p at a time while k' > 0 and p divides u'."""
+    while k > 0 and u % p == 0:
+        u //= p
+        k -= 1
+    return u, k
 
 
 def log_by_series(p: int, precision: int, x: int) -> int:
@@ -193,7 +202,7 @@ def log_by_series(p: int, precision: int, x: int) -> int:
     tpow = denom = 1
     for j in range(1, last + 1):
         tpow = tpow * t % m
-        e = _valuation(j, p)
+        e = valuation_by_division(j, p)
         u = j // p**e
         total = (total * u - (-1) ** j * (tpow // p**e) * denom) % m
         denom = denom * u % m
@@ -215,7 +224,7 @@ def exp_by_series(p: int, precision: int, theta: int) -> int:
     fact_v = 0
     for j in range(1, last + 1):
         tpow = tpow * theta % m
-        e = _valuation(j, p)
+        e = valuation_by_division(j, p)
         fact_v += e
         u = j // p**e
         fact_unit = fact_unit * u % m

@@ -376,3 +376,16 @@ def test_exact_exponent_normalization():
     assert ExactExponent(0, 3).normalized(5) == ExactExponent(0, 0)
     with pytest.raises(ValueError):
         ExactExponent(1, -1)
+
+
+def test_exact_exponent_normalization_matches_the_division_loop():
+    # u of valuation v at every 2^i - 1, 2^i and 2^i + 1 up to 2^8, and 300
+    rng = random.Random(42)
+    for p in (2, 3, 11, 1000003, 2**61 - 1):
+        for v in sorted({0, 300} | {2**i + d for i in range(9) for d in (-1, 0, 1)}):
+            u = rng.randrange(1, 2**64)
+            u += u % p == 0
+            for n in (u * p**v, -u * p**v):
+                for k in {0, 1, v // 2, max(v - 1, 0), v, v + 1, 2 * v + 1}:
+                    expected = ExactExponent(*oracles.cancel_by_division(n, k, p))
+                    assert ExactExponent(n, k).normalized(p) == expected, (p, v, k)

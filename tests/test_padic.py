@@ -1,6 +1,7 @@
 """Residue arithmetic, Teichmuller lifts, Hensel roots and ghost sequences."""
 
 import random
+import time
 
 import pytest
 
@@ -262,6 +263,38 @@ def test_ghost_handles_negative_n():
     entries, _ = oracles.ghost_by_recursion(3, -2, 2)
     assert oracles.ghost_value(3, entries, 2) == -2
     assert all(a % 2 == 0 for a in entries)
+
+
+# ------------------------------------------------------------- valuations
+
+VALUATION_PRIMES = (2, 3, 11, 1000003, 2**61 - 1)
+
+
+def test_padic_valuation_matches_the_division_loop():
+    # every valuation 0..300, so every 2^i - 1, 2^i and 2^i + 1 up to 2^8, on
+    # p^v itself and on a random unit times p^v, each of a random sign
+    rng = random.Random(41)
+    for p in VALUATION_PRIMES:
+        for v in range(301):
+            u = rng.randrange(1, 2**64)
+            u += u % p == 0
+            for n in (p**v, u * p**v):
+                n *= rng.choice((1, -1))
+                assert padic_valuation(n, p) == oracles.valuation_by_division(n, p) == v, (p, v, n)
+
+
+def test_padic_valuation_of_zero_raises():
+    for p in VALUATION_PRIMES:
+        with pytest.raises(ValueError):
+            padic_valuation(0, p)
+
+
+def test_a_large_valuation_takes_few_divisions():
+    # 2 * 3^100000 has 47 713 digits: one division per unit of valuation took
+    # seconds, squaring the divisor takes about 20 divisions
+    start = time.perf_counter()
+    assert padic_valuation(2 * 3**100000, 3) == 100000
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------------- PAdicNumber
