@@ -16,9 +16,9 @@ roots.pk_root gives, where the Witt-digit root criterion lives
 
 from math import isqrt
 
-from .errors import DomainError, PrecisionTooLow, RootCondition, ValuationCondition, ZeroInput
+from .errors import DomainError, PrecisionTooLow, ZeroInput
 from .padic import PAdicInt, PAdicNumber, Record, _setattr, padic_valuation, teichmuller
-from .roots import RootReason, pk_root
+from .roots import pk_root, root_failure
 
 
 def _require_principal(x: PAdicInt) -> None:
@@ -166,11 +166,11 @@ def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:
     """x**y, with the valuation handled exactly.
 
     Integer exponents reduce to modular powering.  An exponent u/p^k takes
-    its root from pk_root, whose report becomes ValuationCondition or
-    RootCondition when the criterion fails.  At odd p that root is the only
-    one; at p = 2 it is the one of +-y that is 1 mod 4.  Either way it is
-    the root the polar form scaled by 1/p^k gives.  The result is that root
-    to the power u, and carries K - k digits.
+    its root from pk_root, and a failed report raises root_failure(report,
+    x, p^k), the error the CLI's root raises too.  At odd p that root is
+    the only one; at p = 2 it is the one of +-y that is 1 mod 4.  Either way
+    it is the root the polar form scaled by 1/p^k gives.  The result is that
+    root to the power u, and carries K - k digits.
     """
     p = x.p
     y = y.normalized(p)
@@ -182,8 +182,6 @@ def ppow(x: PAdicNumber, y: ExactExponent) -> PAdicNumber:
     if k == 0:
         return x.pow_int(u)
     report = pk_root(x, k)
-    if report.reason is RootReason.VALUATION_NOT_DIVISIBLE:
-        raise ValuationCondition(f"valuation {x.valuation} is not divisible by {p}^{k}")
     if not report.exists:
-        raise RootCondition(f"Witt digit {report.digit_index} of the unit part is nonzero", report.digit_index)
+        raise root_failure(report, x, p**k)
     return min(report.roots, key=lambda r: r.unit.residue % 4).pow_int(u)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on a domain failure (say, the requested root
-does not exist) or when stdout closes early, 2 on usage errors.
+Exit codes: 0 on success, 1 on a domain failure or when stdout closes
+early, 2 on usage errors.  A failed root condition, a RootCondition from
+`root` or a u/p^k `pow`, prints "no root: " and roots.root_failure's text.
 Precision and output format come from the command-line flags alone.
 """
 
@@ -12,16 +13,10 @@ import re
 import sys
 
 from .analytic import ExactExponent, pexp, plog, polar, ppow
-from .errors import NotPrime, PadicError
+from .errors import NotPrime, PadicError, RootCondition
 from .padic import PAdicInt, PAdicNumber, Record, padic_valuation, teichmuller
 from .primes import check_prime
-from .roots import (
-    RootReason,
-    fermat_quotient,
-    flt_local_witness,
-    general_root,
-    wieferich_search,
-)
+from .roots import fermat_quotient, flt_local_witness, general_root, root_failure, wieferich_search
 from .witt import padic_to_witt
 
 DEFAULT_PRECISION = 8
@@ -108,28 +103,6 @@ def _require_p(args) -> int:
     return args.p
 
 
-def _root_failure_reason(report, value: PAdicNumber, value_text: str, degree: int) -> str:
-    p = value.p
-    if report.reason is RootReason.VALUATION_NOT_DIVISIBLE:
-        return f"valuation {value.valuation} is not divisible by {degree}"
-    if report.reason is RootReason.WITT_DIGIT_NONZERO:
-        if p == 2:
-            # A 2^v-th power of a unit is 1 mod 2^(v+2); fermat_quotient raises at p = 2.
-            return f"unit is not 1 mod {2 ** (padic_valuation(degree, 2) + 2)}"
-        msg = f"Witt digit {report.digit_index} nonzero"
-        if report.digit_index == 1 and not value.is_zero and value.valuation == 0:
-            q = fermat_quotient(value)
-            msg += f"; q_1({value_text}) ≡ {q.residue % p} (mod {p})"
-        return msg
-    if report.reason is RootReason.NOT_KTH_RESIDUE:
-        return f"{value_text} is not a {degree}-th power residue mod {p}"
-    return report.reason.value
-
-
-class _NoRoot(PadicError):
-    """The requested root does not exist; the message says which condition failed."""
-
-
 # Each command handler takes (args, p, precision) and returns (json_result, human_lines).
 
 
@@ -175,7 +148,7 @@ def _root(args, p: int, precision: int):
     value = parse_value(args.value, p, precision)
     report = general_root(value, args.degree)
     if not report.exists:
-        raise _NoRoot(_root_failure_reason(report, value, args.value, args.degree))
+        raise root_failure(report, value, args.degree)
     result = {
         "degree": args.degree,
         "output_precision": report.output_precision,
@@ -298,7 +271,7 @@ def main(argv=None) -> int:
         if output == "json":
             print(json.dumps({"ok": False, "reason": str(exc), "precision": precision}, sort_keys=True))
         else:
-            print(f"{'no root' if isinstance(exc, _NoRoot) else 'error'}: {exc}", file=sys.stderr)
+            print(f"{'no root' if isinstance(exc, RootCondition) else 'error'}: {exc}", file=sys.stderr)
         return 1
 
     if output == "json":

@@ -34,15 +34,16 @@ class ZeroInput(PadicError):
 
 
 class RootCondition(PadicError):
-    """A Witt-digit condition for a p-power root fails."""
+    """A condition for an m-th root fails, as roots.root_failure reports it: reason and digit_index as in RootCheck."""
 
-    def __init__(self, message: str, digit_index: int | None = None):
+    def __init__(self, message: str, reason, digit_index: int | None = None):
         super().__init__(message)
+        self.reason = reason
         self.digit_index = digit_index
 
 
-class ValuationCondition(PadicError):
-    """The valuation is not divisible by the required power of p."""
+class ValuationCondition(RootCondition):
+    """The root degree does not divide the valuation: the RootCondition for VALUATION_NOT_DIVISIBLE."""
 
 
 class PrecisionTooLow(PadicError):

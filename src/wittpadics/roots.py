@@ -8,7 +8,8 @@ and the number-theoretic searches built on them.
 import enum
 from math import prod
 
-from .errors import NotAUnit, PrecisionTooLow, RootCondition, SelfCheckFailed, WrongPrime, ZeroInput
+from .errors import NotAUnit, PrecisionTooLow, RootCondition, SelfCheckFailed, ValuationCondition
+from .errors import WrongPrime, ZeroInput
 from .padic import PAdicInt, PAdicNumber, Record, hensel_kth_root, padic_valuation
 from .padic import _lift_root
 from .primes import check_prime, odd_prime_segments
@@ -145,6 +146,27 @@ def pk_root(x: PAdicNumber, k: int) -> RootReport:
     return RootReport(True, RootReason.OK, None, tuple(PAdicNumber(x.p, w, u) for u in units), K - k)
 
 
+def root_failure(report: RootCheck | RootReport, x: PAdicNumber, m: int) -> RootCondition:
+    """The error to raise for a failed RootCheck or RootReport on the m-th root of x.
+
+    Every failed root condition gets its text here.  It reads x mod p^2 at
+    most, since q_1(x) mod p depends on nothing more.  At p = 2 the 2^v-th
+    powers of units, v = v_2(m), are the units = 1 (mod 2^(v+2)).
+    """
+    p, reason = x.p, report.reason
+    if reason is RootReason.VALUATION_NOT_DIVISIBLE:
+        return ValuationCondition(f"valuation {x.valuation} is not divisible by {m}", reason)
+    if reason is RootReason.NOT_KTH_RESIDUE:
+        text = f"{x.unit.residue % p} is not a {m}-th power residue mod {p}"
+    elif p == 2:
+        text = f"unit is not 1 mod {2 ** (padic_valuation(m, 2) + 2)}"
+    else:
+        text = f"Witt digit {report.digit_index} nonzero"
+        if report.digit_index == 1 and x.valuation == 0:
+            text += f"; q_1({x.unit.residue % p**2}) ≡ {fermat_quotient(x).residue % p} (mod {p})"
+    return RootCondition(text, reason, report.digit_index)
+
+
 def root_quotient_congruence_check(x: PAdicNumber, k: int) -> QuotientCongruenceReport:
     """Compare q_1(root) with q_1(x)/p^k mod p, and the digit congruence.
 
@@ -157,7 +179,7 @@ def root_quotient_congruence_check(x: PAdicNumber, k: int) -> QuotientCongruence
         raise PrecisionTooLow(f"need {k + 2} digits, have {u.precision}")
     report = pk_root(x, k)
     if not report.exists:
-        raise RootCondition(f"no p^{k}-th root: {report.reason.value}", report.digit_index)
+        raise root_failure(report, x, p**k)
     scaled = fermat_quotient(x).exact_div_p_power(k)
     rhs = scaled.residue % p
     lhs = fermat_quotient(report.roots[0]).residue % p

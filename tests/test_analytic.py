@@ -15,6 +15,7 @@ from wittpadics import (
     PAdicNumber,
     PolarForm,
     RootCondition,
+    RootReason,
     ValuationCondition,
     WittVector,
     de_moivre_check,
@@ -309,8 +310,10 @@ def test_ppow_fractional_conditions():
     assert info.value.digit_index == 1
 
     shifted = PAdicNumber.from_integer(5 * 3, 5, 3)
-    with pytest.raises(ValuationCondition):
+    with pytest.raises(RootCondition) as info:  # ValuationCondition is the RootCondition for the valuation
         ppow(shifted, ExactExponent(1, 1))
+    assert type(info.value) is ValuationCondition
+    assert (info.value.reason, info.value.digit_index) == (RootReason.VALUATION_NOT_DIVISIBLE, None)
 
 
 def test_ppow_fractional_inverts_powering():

@@ -252,6 +252,38 @@ def test_unit_5_mod_8_has_no_square_root(capsys, output):
         assert (out, err) == ("", "no root: unit is not 1 mod 8\n")
 
 
+@pytest.mark.parametrize("p, value, k", [(5, 25, 1), (5, 2, 1), (7, 50, 2), (2, 3, 1), (2, 5, 2)])
+def test_pow_and_root_report_a_failed_root_alike(capsys, p, value, k):
+    # x^(1/p^k) and the degree-p^k root of x fail on one condition, with one text
+    common = ["--p", str(p), "--value", str(value), "--precision", "6"]
+    pow_argv = ["pow", "--exponent", f"1/{p**k}", *common]
+    root_argv = ["root", "--degree", str(p**k), *common]
+    pow_code, pow_out, pow_err = run(capsys, pow_argv)
+    root_code, root_out, root_err = run(capsys, root_argv)
+    assert (pow_code, pow_out) == (root_code, root_out) == (1, "")
+    assert pow_err == root_err and root_err.startswith("no root: ")
+    pow_json = json.loads(run(capsys, [*pow_argv, "--output", "json"])[1])
+    root_json = json.loads(run(capsys, [*root_argv, "--output", "json"])[1])
+    assert pow_json["reason"] == root_json["reason"] == root_err[len("no root: ") : -1]
+
+
+def _root_reason(capsys, argv):
+    code, out, err = run(capsys, argv)
+    code_json, out_json, _ = run(capsys, [*argv, "--output", "json"])
+    assert (code, code_json, out) == (1, 1, "")
+    assert err == f"no root: {json.loads(out_json)['reason']}\n"
+    return err
+
+
+def test_root_failure_text_does_not_depend_on_how_the_value_is_written(capsys):
+    # 9 = 2/3 (mod 25), and q_1 reads the value mod p^2 alone
+    argv = ["root", "--p", "5", "--degree", "5", "--precision", "4", "--value"]
+    assert _root_reason(capsys, [*argv, "2/3"]) == _root_reason(capsys, [*argv, "9"])
+    # the residue test names the unit mod p, not the 478-digit value
+    argv = ["root", "--p", "3", "--degree", "2", "--value", str(2 * 3**1000)]
+    assert _root_reason(capsys, argv) == "no root: 2 is not a 2-th power residue mod 3\n"
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12])
 def test_root_at_p2_matches_brute_force_on_every_small_unit(capsys, m):
     # every odd unit mod 2^K, K <= 7: the roots are the brute-force m-th roots

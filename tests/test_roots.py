@@ -100,7 +100,8 @@ def test_pk_root_exists_examples():
 
 def test_pk_root_exists_and_ppow_report_the_same_obstruction():
     # both read one criterion: the RootCheck reason and the exception ppow
-    # raises must name the same failed condition and the same Witt digit
+    # raises must name the same failed condition, carry that reason, and name
+    # the same Witt digit
     raised_for = {
         RootReason.OK: None,
         RootReason.VALUATION_NOT_DIVISIBLE: ValuationCondition,
@@ -119,8 +120,9 @@ def test_pk_root_exists_and_ppow_report_the_same_obstruction():
                 try:
                     ppow(x, ExactExponent(1, k))
                     raised, index = None, None
-                except (ValuationCondition, RootCondition) as exc:
-                    raised, index = type(exc), getattr(exc, "digit_index", None)
+                except RootCondition as exc:
+                    raised, index = type(exc), exc.digit_index
+                    assert exc.reason is check.reason
                 assert raised is raised_for[check.reason]
                 assert index == check.digit_index
                 seen.add((k, check.reason, check.digit_index))
@@ -347,6 +349,14 @@ def test_root_quotient_congruence_trivial():
     report = root_quotient_congruence_check(PAdicNumber.from_integer(1, 5, 4), 1)
     assert report.holds
     assert report.root_quotient == report.scaled_quotient == 0
+
+
+def test_root_quotient_congruence_on_a_non_root_raises_with_its_reason():
+    # 2 has Witt digit 1 nonzero at p = 5: no 5th root, and the text the CLI's root gives
+    with pytest.raises(RootCondition) as info:
+        root_quotient_congruence_check(PAdicNumber.from_integer(2, 5, 4), 1)
+    assert (info.value.reason, info.value.digit_index) == (RootReason.WITT_DIGIT_NONZERO, 1)
+    assert str(info.value) == "Witt digit 1 nonzero; q_1(2) ≡ 3 (mod 5)"
 
 
 def test_root_quotient_congruence_random():
