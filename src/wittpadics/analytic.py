@@ -21,24 +21,13 @@ from .padic import PAdicInt, PAdicNumber, Record, _setattr, padic_valuation, tei
 from .roots import pk_root, root_failure
 
 
-def _require_principal(x: PAdicInt) -> None:
-    if x.p == 2:
-        if x.precision < 2:
-            raise PrecisionTooLow("p = 2 needs two digits to check the 1 mod 4 domain")
-        if x.residue % 4 != 1:
-            raise DomainError(f"log requires x = 1 (mod 4), got x = {x.residue % 4} (mod 4)")
-    elif x.residue % x.p != 1:
-        raise DomainError(f"log requires x = 1 (mod {x.p}), got x = {x.residue % x.p} (mod {x.p})")
-
-
-def _require_argument(theta: PAdicInt) -> None:
-    if theta.p == 2:
-        if theta.precision < 2:
-            raise PrecisionTooLow("p = 2 needs two digits to check the 0 mod 4 domain")
-        if theta.residue % 4 != 0:
-            raise DomainError(f"exp requires theta = 0 (mod 4), got theta = {theta.residue % 4} (mod 4)")
-    elif theta.residue % theta.p != 0:
-        raise DomainError(f"exp requires theta = 0 (mod {theta.p})")
+def _require_congruent(x: PAdicInt, r: int, fn: str, name: str) -> None:
+    """fn's domain check on its argument name: x = r (mod p), or (mod 4) at p = 2."""
+    q = 4 if x.p == 2 else x.p
+    if x.p == 2 and x.precision < 2:
+        raise PrecisionTooLow(f"p = 2 needs two digits to check the {r} mod 4 domain")
+    if x.residue % q != r:
+        raise DomainError(f"{fn} requires {name} = {r} (mod {q}), got {name} = {x.residue % q} (mod {q})")
 
 
 def _log(p: int, K: int, x: int) -> int:
@@ -77,7 +66,7 @@ def _log(p: int, K: int, x: int) -> int:
 
 def plog(x: PAdicInt) -> PAdicInt:
     """Logarithm of a principal unit; the result is divisible by p."""
-    _require_principal(x)
+    _require_congruent(x, 1, "log", "x")
     return PAdicInt(x.p, x.precision, _log(x.p, x.precision, x.residue))
 
 
@@ -91,7 +80,7 @@ def pexp(theta: PAdicInt) -> PAdicInt:
     at odd p, and >= j + 1 >= 3 at p = 2, where v(theta) >= 2.
     """
     p, K = theta.p, theta.precision
-    _require_argument(theta)
+    _require_congruent(theta, 0, "exp", "theta")
     precisions = [K]
     while precisions[-1] > 2 + (p == 2):
         precisions.append((precisions[-1] + 1 + (p == 2)) // 2)

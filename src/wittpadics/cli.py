@@ -4,6 +4,8 @@ Exit codes: 0 on success, 1 on a domain failure or when stdout closes
 early, 2 on usage errors.  A failed root condition, a RootCondition from
 `root` or a u/p^k `pow`, prints "no root: " and roots.root_failure's text.
 Precision and output format come from the command-line flags alone.
+Every --value, an integer or m/n with p not dividing n, is read by
+parse_value, and every JSON result is written by _json.
 """
 
 import argparse
@@ -17,7 +19,7 @@ from .errors import NotPrime, PadicError, RootCondition
 from .padic import PAdicInt, PAdicNumber, Record, padic_valuation, teichmuller
 from .primes import check_prime
 from .roots import fermat_quotient, flt_local_witness, general_root, root_failure, wieferich_search
-from .witt import padic_to_witt
+from .witt import WittVector, padic_to_witt
 
 DEFAULT_PRECISION = 8
 
@@ -29,35 +31,24 @@ class UsageError(Exception):
     pass
 
 
-def _jsonable(v):
-    """v with every integer of absolute value >= 2^53, at any depth, as a decimal string."""
+def _json(v):
+    """v as JSON data, at any depth: a PAdicInt, PAdicNumber or WittVector in the
+    README's shape, and every integer of absolute value >= 2^53 as a decimal string."""
     if type(v) is int:  # not bool
         return v if abs(v) < _JSON_INT_LIMIT else str(v)
+    if isinstance(v, PAdicInt):
+        v = {"p": v.p, "precision": v.precision, "residue": v.residue, "modulus": v.modulus}
+    elif isinstance(v, PAdicNumber) and v.is_zero:
+        v = {"p": v.p, "zero": True}
+    elif isinstance(v, PAdicNumber):
+        v = {"p": v.p, "zero": False, "valuation": v.valuation, "unit": v.unit}
+    elif isinstance(v, WittVector):
+        v = v.to_json_dict()
     if isinstance(v, dict):
-        return {key: _jsonable(x) for key, x in v.items()}
+        return {key: _json(x) for key, x in v.items()}
     if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
+        return [_json(x) for x in v]
     return v
-
-
-def _padic_int_json(x: PAdicInt) -> dict:
-    return {
-        "p": x.p,
-        "precision": x.precision,
-        "residue": x.residue,
-        "modulus": x.modulus,
-    }
-
-
-def _padic_number_json(x: PAdicNumber) -> dict:
-    if x.is_zero:
-        return {"p": x.p, "zero": True}
-    return {
-        "p": x.p,
-        "zero": False,
-        "valuation": x.valuation,
-        "unit": _padic_int_json(x.unit),
-    }
 
 
 def parse_integer(text: str, what: str) -> int:
@@ -103,30 +94,36 @@ def _require_p(args) -> int:
     return args.p
 
 
-# Each command handler takes (args, p, precision) and returns (json_result, human_lines).
+# Each command handler takes (args, p, precision) and returns (result, human_lines),
+# where result is a library value, or a dict or list holding them, for _json to write.
 
 
-def _residue(x: PAdicInt):
-    return _padic_int_json(x), [str(x)]
+def _value_residue(args, p: int, precision: int) -> PAdicInt:
+    """--value, read by parse_value, mod p^precision; the exact zero is residue 0."""
+    value = parse_value(args.value, p, precision)
+    return PAdicInt(p, precision, 0) if value.is_zero else value.to_padic_int().with_precision(precision)
 
 
-def _on_integer(fn):
-    """Handler applying fn to --value read as an integer residue."""
-    return lambda args, p, precision: _residue(fn(PAdicInt(p, precision, parse_integer(args.value, "value"))))
+def _one(x):
+    """The result and human lines of a command that prints one value."""
+    return x, [str(x)]
+
+
+def _on_value(fn):
+    """Handler printing fn of --value mod p^precision."""
+    return lambda args, p, precision: _one(fn(_value_residue(args, p, precision)))
 
 
 def _convert(args, p: int, precision: int):
-    value = parse_value(args.value, p, precision)
-    x = PAdicInt(p, precision, 0) if value.is_zero else value.to_padic_int().with_precision(precision)
+    x = _value_residue(args, p, precision)
     if args.to == "padic":
-        return _residue(x)
+        return _one(x)
     w = padic_to_witt(x)
-    return {"witt": w.to_json_dict()}, [str(w)]
+    return {"witt": w}, [str(w)]
 
 
 def _pow(args, p: int, precision: int):
-    result = ppow(parse_value(args.value, p, precision), parse_exponent(args.exponent, p))
-    return _padic_number_json(result), [str(result)]
+    return _one(ppow(parse_value(args.value, p, precision), parse_exponent(args.exponent, p)))
 
 
 def _polar(args, p: int, precision: int):
@@ -134,7 +131,7 @@ def _polar(args, p: int, precision: int):
     result = {
         "valuation": form.valuation,
         "teich_digit": form.teich_digit,
-        "argument": _padic_int_json(form.argument),
+        "argument": form.argument,
     }
     lines = [
         f"valuation: {form.valuation}",
@@ -152,7 +149,7 @@ def _root(args, p: int, precision: int):
     result = {
         "degree": args.degree,
         "output_precision": report.output_precision,
-        "roots": [_padic_number_json(r) for r in report.roots],
+        "roots": report.roots,
     }
     return result, [f"root: {r}" for r in report.roots]
 
@@ -171,7 +168,7 @@ def _flt_witness(args, p: int, precision: int):
         "x": witness.x,
         "y": witness.y,
         "sum": witness.sum,
-        "root": _padic_int_json(witness.root),
+        "root": witness.root,
     }
     return result, [f"x = {witness.x}, y = {witness.y}, sum = {witness.sum}", f"root: {witness.root}"]
 
@@ -187,7 +184,7 @@ class Command(Record):
     _defaults = {"needs_p": True}
 
 
-_VALUE = ("--value", {"required": True, "help": "integer, or rational m/n where accepted"})
+_VALUE = ("--value", {"required": True, "help": "integer, or rational m/n"})
 
 COMMANDS = {
     "convert": Command(
@@ -195,9 +192,9 @@ COMMANDS = {
         (_VALUE, ("--to", {"choices": ("witt", "padic"), "default": "witt"})),
         _convert,
     ),
-    "teichmuller": Command("multiplicative digit lift", (_VALUE,), _on_integer(teichmuller)),
-    "log": Command("truncated p-adic logarithm", (_VALUE,), _on_integer(plog)),
-    "exp": Command("truncated p-adic exponential", (_VALUE,), _on_integer(pexp)),
+    "teichmuller": Command("multiplicative digit lift", (_VALUE,), _on_value(teichmuller)),
+    "log": Command("truncated p-adic logarithm", (_VALUE,), _on_value(plog)),
+    "exp": Command("truncated p-adic exponential", (_VALUE,), _on_value(pexp)),
     "pow": Command("power with integer or u/p^k exponent", (_VALUE, ("--exponent", {"required": True})), _pow),
     "polar": Command("module/argument decomposition", (_VALUE,), _polar),
     "root": Command(
@@ -206,7 +203,7 @@ COMMANDS = {
     "fermat-quotient": Command(
         "(x^(p-1) - 1)/p",
         (_VALUE,),
-        lambda args, p, precision: _residue(fermat_quotient(parse_value(args.value, p, precision))),
+        lambda args, p, precision: _one(fermat_quotient(parse_value(args.value, p, precision))),
     ),
     "wieferich": Command(
         "primes with base^(p-1) = 1 mod p^2",
@@ -275,7 +272,7 @@ def main(argv=None) -> int:
         return 1
 
     if output == "json":
-        print(json.dumps({"ok": True, "result": _jsonable(result), "precision": precision}, sort_keys=True))
+        print(json.dumps({"ok": True, "result": _json(result), "precision": precision}, sort_keys=True))
     else:
         for line in lines:
             print(line)

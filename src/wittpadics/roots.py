@@ -205,10 +205,10 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
     """All m-th roots of x, splitting m into p^v times m'.
 
     m must divide the valuation.  pk_root gives the p^v-th roots of x, one for
-    odd p and two opposite ones at p = 2.  hensel_kth_root then gives each of
-    them gcd(m', p-1) m'-th roots (one at p = 2), or none when the m'-th power
-    residue test fails.  The first failure is reported.  Roots are determined
-    to K - v digits.
+    odd p and two opposite ones at p = 2.  hensel_kth_root then gives the first
+    of them gcd(m', p-1) m'-th roots (one at p = 2), or none when the m'-th
+    power residue test fails; at p = 2 the second's root is minus the first's.
+    The first failure is reported.  Roots are determined to K - v digits.
     """
     if x.is_zero:
         raise ZeroInput("zero has no root report")
@@ -227,10 +227,15 @@ def general_root(x: PAdicNumber, m: int) -> RootReport:
             return RootReport(False, report.reason, report.digit_index, (), K)
         roots = [r.unit for r in report.roots]
     if m_prime > 1:
-        # Each p^v-th root is x.unit mod p, so Hensel's residue test gives the verdict for x.
-        roots = sorted((s for r in roots for s in hensel_kth_root(r, m_prime)), key=lambda s: s.residue)
-        if not roots:
+        # Each p^v-th root is x.unit mod p, so one residue test, on the first, gives the
+        # verdict for x.  At p = 2 the second is minus the first and m' is odd, so its
+        # m'-th roots are minus the first's.
+        first = hensel_kth_root(roots[0], m_prime)
+        if not first:
             return RootReport(False, RootReason.NOT_KTH_RESIDUE, None, (), K)
+        if len(roots) == 2:
+            first += tuple(-s for s in first)
+        roots = sorted(first, key=lambda s: s.residue)
     w = x.valuation // m
     return RootReport(True, RootReason.OK, None, tuple(PAdicNumber(p, w, r) for r in roots), K - v)
 

@@ -104,6 +104,33 @@ def test_convert_rational_value(capsys):
     assert out == "(4,2]\n"
 
 
+@pytest.mark.parametrize(
+    "command,p,K,value",
+    [
+        ("log", 5, 3, "6/11"),
+        ("log", 2, 6, "1/5"),
+        ("teichmuller", 5, 3, "1/2"),
+        ("teichmuller", 7, 4, "-3/4"),
+        ("exp", 3, 5, "3/2"),
+        ("exp", 2, 6, "4/3"),
+        ("exp", 5, 8, "1/2"),  # 3 (mod 5): a domain failure, the same for both spellings
+    ],
+)
+def test_rational_value_reads_as_its_residue(capsys, command, p, K, value):
+    m, n = map(int, value.split("/"))
+    residue = m * pow(n, -1, p**K) % p**K
+    common = [command, "--p", str(p), "--precision", str(K), "--output", "json"]
+    assert run(capsys, [*common, "--value", value]) == run(capsys, [*common, "--value", str(residue)])
+
+
+def test_rational_log_and_denominator_divisible_by_p(capsys):
+    code, out, _ = run(capsys, ["log", "--p", "5", "--value", "6/11", "--precision", "3", "--output", "json"])
+    assert (code, json.loads(out)["result"]["residue"]) == (0, 95)
+    for command in ("teichmuller", "log", "exp"):
+        code, out, err = run(capsys, [command, "--p", "5", "--value", "1/5"])
+        assert (code, out, err) == (2, "", "error: denominator 5 must not be divisible by p = 5\n")
+
+
 def test_convert_to_padic(capsys):
     code, out, _ = run(capsys, ["convert", "--p", "11", "--value", "-8", "--precision", "2", "--to", "padic"])
     assert code == 0

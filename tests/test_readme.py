@@ -21,7 +21,7 @@ def test_command_line_examples_print_what_the_readme_shows(capsys):
     text = README.read_text(encoding="utf-8")
     block = re.search(r"```sh\n(.*?)```", text.split("## Command line", 1)[1], re.S).group(1)
     examples = re.findall(r"^\$ wittpadics (.*)\n((?:.+\n)*)", block, re.M)
-    assert len(examples) == 4
+    assert len(examples) == 5
     for argv, shown in examples:
         main(argv.split())
         captured = capsys.readouterr()

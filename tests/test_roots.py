@@ -531,15 +531,19 @@ def test_general_root_not_kth_residue():
 
 
 @pytest.mark.parametrize(
-    "m,x,reason",
+    "p,m,x,reason",
     [
-        (2, 64, RootReason.OK),
-        (2, 3, RootReason.NOT_KTH_RESIDUE),
-        (14, pow(3, 14, 7**4), RootReason.OK),
-        (14, pow(3, 7, 7**4), RootReason.NOT_KTH_RESIDUE),
+        (7, 2, 64, RootReason.OK),
+        (7, 2, 3, RootReason.NOT_KTH_RESIDUE),
+        (7, 14, pow(3, 14, 7**4), RootReason.OK),
+        (7, 14, pow(3, 7, 7**4), RootReason.NOT_KTH_RESIDUE),
+        # At p = 2 pk_root gives two roots, +-y, before the odd part m' of m.
+        (2, 6, 3**6, RootReason.OK),
+        (2, 10, 5**10, RootReason.OK),
+        (2, 12, 3**12, RootReason.OK),
     ],
 )
-def test_general_root_runs_one_residue_test(monkeypatch, m, x, reason):
+def test_general_root_runs_one_residue_test(monkeypatch, p, m, x, reason):
     calls = []
     residue_test = wittpadics.padic.kth_power_residue_test
 
@@ -549,7 +553,7 @@ def test_general_root_runs_one_residue_test(monkeypatch, m, x, reason):
 
     for module in (wittpadics.padic, wittpadics.roots):
         monkeypatch.setattr(module, "kth_power_residue_test", counted, raising=False)
-    report = general_root(PAdicNumber.from_integer(x, 7, 4), m)
+    report = general_root(PAdicNumber.from_integer(x, p, 4), m)
     assert report.reason is reason and report.exists == (reason is RootReason.OK)
     assert len(calls) == 1
 
